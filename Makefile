@@ -17,9 +17,10 @@ race:
 	$(GO) test -race -timeout 20m ./...
 
 # Allocation-budget regression tests (testing.AllocsPerRun; skipped under
-# -race, so they get their own invocation).
+# -race, so they get their own invocation): the fitters' warm workspaces,
+# and zero allocations for the SN CDF, stats.Quantile and ssta.MaxMoments.
 allocbudget:
-	$(GO) test -run 'AllocBudget' -count 1 ./internal/fit/
+	$(GO) test -run 'AllocBudget' -count 1 ./internal/fit/ ./internal/stats/ ./internal/ssta/
 
 # Bit-identical serial-vs-parallel multi-start — and bit-identical
 # warm-started library builds across worker counts — under the race
@@ -109,7 +110,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeUnit -fuzztime 30s -run '^$$' ./internal/libbuild/
 
 # Micro benchmarks with memory stats, exported as BENCH_fit.json evidence.
-BENCH_FILTER = BenchmarkFit|BenchmarkSNCDF|BenchmarkCharacterizeArc|BenchmarkSSTASum|BenchmarkLibertyParse
+BENCH_FILTER = BenchmarkFit|BenchmarkSNCDF|BenchmarkOwenT|BenchmarkQuantileGrid|BenchmarkMaxMoments|BenchmarkCharacterizeArc|BenchmarkSSTASum|BenchmarkLibertyParse
 
 bench:
 	$(GO) test -bench '$(BENCH_FILTER)' -benchmem -count 3 -run '^$$' -timeout 30m . \

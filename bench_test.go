@@ -362,6 +362,50 @@ func BenchmarkSNCDF(b *testing.B) {
 	_ = acc
 }
 
+var benchSink float64
+
+// BenchmarkOwenT measures the Owen's T kernel over bulk points on both
+// sides of the |a| = 1 reduction.
+func BenchmarkOwenT(b *testing.B) {
+	as := [2]float64{0.6, 3}
+	for i := 0; i < b.N; i++ {
+		benchSink += stats.OwenT(float64(i%16)*0.25, as[i%2])
+	}
+}
+
+// benchLVF2 is an LVF² model whose second mode sits 4.5σ above the first.
+func benchLVF2() Model {
+	return Model{
+		Lambda: 0.2,
+		Theta1: Theta{Mean: 0.102, Sigma: 0.004, Skew: 0.3},
+		Theta2: Theta{Mean: 0.12, Sigma: 0.005, Skew: 0.1},
+	}
+}
+
+// BenchmarkQuantileGrid measures the refit sample grid: 2048 midpoint
+// quantiles of an LVF² mixture, one stats.Quantile call each.
+func BenchmarkQuantileGrid(b *testing.B) {
+	d := benchLVF2().Dist()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 2048; j++ {
+			benchSink += stats.Quantile(d, (float64(j)+0.5)/2048)
+		}
+	}
+}
+
+// BenchmarkMaxMoments measures the SSTA max of one LVF² component pair.
+func BenchmarkMaxMoments(b *testing.B) {
+	m := benchLVF2()
+	var x, y stats.Dist = m.Theta1.SN(), m.Theta2.SN()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += ssta.MaxMoments(x, y).Mean
+	}
+}
+
 // BenchmarkCharacterizeArc measures one MC characterisation point
 // (2000 samples) of the electrical model.
 func BenchmarkCharacterizeArc(b *testing.B) {

@@ -11,21 +11,28 @@ import (
 //
 //	f_max(x) = f_A(x)·F_B(x) + F_A(x)·f_B(x)
 //
-// over the union of both supports (each truncated at ±10σ).
+// over the union of both supports (each truncated at ±10σ). The density
+// is tabulated once at the maxNodes Simpson nodes and all four moments
+// are taken from that table, so each input CDF is evaluated maxNodes
+// times. The table stays on the stack.
 func MaxMoments(a, b stats.Dist) stats.SampleMoments {
 	sa, sb := stats.Std(a), stats.Std(b)
 	lo := math.Min(a.Mean()-10*sa, b.Mean()-10*sb)
 	hi := math.Max(a.Mean()+10*sa, b.Mean()+10*sb)
-	pdf := func(x float64) float64 {
-		return a.PDF(x)*b.CDF(x) + a.CDF(x)*b.PDF(x)
+	h := (hi - lo) / maxIntervals
+	var xs, pdf [maxNodes]float64
+	for i := range xs {
+		x := lo + float64(i)*h
+		if i == maxIntervals {
+			x = hi
+		}
+		xs[i] = x
+		pdf[i] = a.PDF(x)*b.CDF(x) + a.CDF(x)*b.PDF(x)
 	}
-	moment := func(f func(float64) float64) float64 {
-		return quadrature(f, lo, hi)
-	}
-	m1 := moment(func(x float64) float64 { return x * pdf(x) })
-	m2 := moment(func(x float64) float64 { d := x - m1; return d * d * pdf(x) })
-	m3 := moment(func(x float64) float64 { d := x - m1; return d * d * d * pdf(x) })
-	m4 := moment(func(x float64) float64 { d := x - m1; return d * d * d * d * pdf(x) })
+	m1 := simpson(&xs, &pdf, h, func(x float64) float64 { return x })
+	m2 := simpson(&xs, &pdf, h, func(x float64) float64 { d := x - m1; return d * d })
+	m3 := simpson(&xs, &pdf, h, func(x float64) float64 { d := x - m1; return d * d * d })
+	m4 := simpson(&xs, &pdf, h, func(x float64) float64 { d := x - m1; return d * d * d * d })
 	sm := stats.SampleMoments{Mean: m1, Variance: m2}
 	if m2 > 0 {
 		sm.Skewness = m3 / math.Pow(m2, 1.5)
@@ -36,18 +43,25 @@ func MaxMoments(a, b stats.Dist) stats.SampleMoments {
 	return sm
 }
 
-// quadrature integrates f over [lo, hi] with 48 composite Simpson panels —
-// sufficient for the smooth max densities handled here.
-func quadrature(f func(float64) float64, lo, hi float64) float64 {
-	const n = 192 // must be even
-	h := (hi - lo) / n
-	sum := f(lo) + f(hi)
-	for i := 1; i < n; i++ {
-		x := lo + float64(i)*h
+// maxIntervals is the even number of Simpson intervals MaxMoments uses,
+// sufficient for the smooth max densities handled here; maxNodes counts
+// their end points.
+const (
+	maxIntervals = 192
+	maxNodes     = maxIntervals + 1
+)
+
+// simpson applies composite Simpson weights to w(x)·pdf(x) over the
+// tabulated nodes. It adds the terms in the order a scalar quadrature of
+// the integrand x ↦ w(x)·f_max(x) would, so each moment is bit-identical
+// to evaluating the density again for it.
+func simpson(xs, pdf *[maxNodes]float64, h float64, w func(float64) float64) float64 {
+	sum := w(xs[0])*pdf[0] + w(xs[maxIntervals])*pdf[maxIntervals]
+	for i := 1; i < maxIntervals; i++ {
 		if i%2 == 1 {
-			sum += 4 * f(x)
+			sum += 4 * (w(xs[i]) * pdf[i])
 		} else {
-			sum += 2 * f(x)
+			sum += 2 * (w(xs[i]) * pdf[i])
 		}
 	}
 	return sum * h / 3

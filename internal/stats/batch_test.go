@@ -30,17 +30,9 @@ func relDiff(a, b float64) float64 {
 	return d / math.Max(math.Max(math.Abs(a), math.Abs(b)), 1e-300)
 }
 
-// cdfClose allows either relative agreement or tiny absolute agreement:
-// deep in the lower tail Φ(z) − 2T(z) cancels catastrophically, so two
-// correct evaluation orders legitimately differ in relative terms while
-// both are ~1e-17 with absolute agreement far below any metric resolution.
-func cdfClose(a, b float64) bool {
-	return relDiff(a, b) <= 1e-11 || math.Abs(a-b) <= 1e-14
-}
-
-// TestSkewNormalCDFsMatchesScalar cross-checks the batch CDF (shared
-// Owen's-T kernel) against the scalar CDF over a wide shape × point grid.
-// The two paths reassociate the 1/ω scaling, so agreement is relative.
+// TestSkewNormalCDFsMatchesScalar cross-checks the batch CDF against the
+// scalar CDF over a wide shape × point grid. Both go through the one
+// Owen's T kernel, so they agree bit for bit.
 func TestSkewNormalCDFsMatchesScalar(t *testing.T) {
 	for _, alpha := range batchAlphas() {
 		s := SkewNormal{Xi: 0.1, Omega: 0.01, Alpha: alpha}
@@ -48,7 +40,7 @@ func TestSkewNormalCDFsMatchesScalar(t *testing.T) {
 		got := s.CDFs(nil, xs)
 		for i, x := range xs {
 			want := s.CDF(x)
-			if math.IsNaN(got[i]) || !cdfClose(got[i], want) {
+			if math.IsNaN(got[i]) || got[i] != want {
 				t.Fatalf("alpha=%v x=%v: CDFs=%v CDF=%v", alpha, x, got[i], want)
 			}
 		}
@@ -124,7 +116,8 @@ func TestNormalCDFsMatchesScalar(t *testing.T) {
 }
 
 // TestMixtureCDFsMatchesScalar cross-checks the mixture batch CDF, which
-// exercises the per-component BatchCDF dispatch.
+// exercises the per-component BatchCDF dispatch; it sums the components
+// in the scalar CDF's order, so the two agree bit for bit.
 func TestMixtureCDFsMatchesScalar(t *testing.T) {
 	m, err := NewMixture([]float64{0.6, 0.4}, []Dist{
 		SNFromMoments(0.10, 0.005, 0.6),
@@ -137,7 +130,7 @@ func TestMixtureCDFsMatchesScalar(t *testing.T) {
 	got := m.CDFs(nil, xs)
 	for i, x := range xs {
 		want := m.CDF(x)
-		if !cdfClose(got[i], want) {
+		if got[i] != want {
 			t.Fatalf("x=%v: CDFs=%v CDF=%v", x, got[i], want)
 		}
 	}

@@ -7,44 +7,60 @@ import "math"
 //	T(h, a) = 1/(2π) ∫₀ᵃ exp(−h²(1+t²)/2)/(1+t²) dt,
 //
 // which appears in the skew-normal CDF: F_SN(z; α) = Φ(z) − 2·T(z, α).
+// It is the one Owen's T kernel: SkewNormal.CDF, SkewNormal.CDFs and
+// Mixture.CDFs all reach it.
 //
-// The implementation reduces |a| to ≤ 1 with the classical identity
+// T is even in h and odd in a. For a > 1 the classical identity, written
+// in complement form so that nothing cancels in the upper tail,
 //
-//	T(h, a) = ½Φ(h) + ½Φ(ah) − Φ(h)Φ(ah) − T(ah, 1/a)   (a > 0)
+//	T(h, a) = ½Q(h) + ½Q(ah) − Q(h)Q(ah) − T(ah, 1/a),   Q(x) = Φ(−x),
 //
-// and integrates the reduced range with panelised Gauss-Legendre
-// quadrature; accuracy is ~1e-14 over the range exercised here.
+// reduces the range to a ≤ 1, where owenTReduced integrates it. Against
+// a math/big reference over |h| ≤ 8 the absolute error is below 2e-16
+// and the relative error below 1e-12 (owen_oracle_test.go).
 func OwenT(h, a float64) float64 {
 	if a == 0 || math.IsNaN(h) || math.IsNaN(a) {
 		return 0
 	}
-	// Symmetries: T(h,a) is even in h and odd in a.
-	if h < 0 {
-		h = -h
-	}
+	h = math.Abs(h)
 	if a < 0 {
 		return -OwenT(h, -a)
 	}
 	if math.IsInf(a, 1) {
-		// T(h, ∞) = (1 − Φ(h)) / 2 for h ≥ 0.
-		return 0.5 * (1 - StdNormCDF(h))
+		return 0.5 * StdNormCDF(-h)
 	}
 	if a > 1 {
 		ah := a * h
-		return 0.5*StdNormCDF(h) + 0.5*StdNormCDF(ah) -
-			StdNormCDF(h)*StdNormCDF(ah) - owenTCore(ah, 1/a)
+		qh, qah := StdNormCDF(-h), StdNormCDF(-ah)
+		return 0.5*qh + 0.5*qah - qh*qah - owenTReduced(ah, 1/a)
 	}
-	return owenTCore(h, a)
+	return owenTReduced(h, a)
 }
 
-// owenTCore integrates the Owen integrand for 0 <= a <= 1, h >= 0.
-func owenTCore(h, a float64) float64 {
-	if a == 0 {
-		return 0
+// owenTReduced integrates T(h, a) for h ≥ 0 and 0 < a ≤ 1. Past
+// t = 9/h the factor exp(−h²t²/2) is below 3e-18, so the range stops at
+// t_max = min(a, 9/h) and is split into ⌈h·t_max/2⌉ ≤ 5 sixteen-node
+// Gauss–Legendre panels, each at most two standard deviations of that
+// factor wide. A CDF point in the bulk costs 16–32 exponentials.
+func owenTReduced(h, a float64) float64 {
+	tmax, ht := a, h*a
+	if ht > 9 {
+		tmax, ht = 9/h, 9
 	}
-	f := func(t float64) float64 {
-		return math.Exp(-0.5*h*h*(1+t*t)) / (1 + t*t)
+	panels := int(math.Ceil(0.5 * ht))
+	if panels < 1 {
+		panels = 1
 	}
-	// 8 panels of 16-point GL resolve the integrand to ~1e-15 on [0,1].
-	return integrate(f, 0, a, 8) / (2 * math.Pi)
+	hw := 0.5 * tmax / float64(panels) // panel half-width
+	e := -0.5 * h * h
+	var s float64
+	for p := 0; p < panels; p++ {
+		mid := float64(2*p+1) * hw
+		for i, g := range glNodes16 {
+			t := mid + hw*g
+			c := 1 + t*t
+			s += glWeights16[i] / c * math.Exp(e*c)
+		}
+	}
+	return hw * s / (2 * math.Pi)
 }
