@@ -7,8 +7,11 @@ all: build
 build:
 	$(GO) build ./...
 
+# gofmt gate: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -18,17 +21,19 @@ race:
 
 # Allocation-budget regression tests (testing.AllocsPerRun; skipped under
 # -race, so they get their own invocation): the fitters' warm workspaces,
-# and zero allocations for the SN CDF, stats.Quantile and ssta.MaxMoments.
+# and zero allocations for the SN CDF, stats.Quantile, ssta.MaxMoments,
+# one yield estimator batch and a prepared spice point's Eval.
 allocbudget:
-	$(GO) test -run 'AllocBudget' -count 1 ./internal/fit/ ./internal/stats/ ./internal/ssta/
+	$(GO) test -run 'AllocBudget' -count 1 ./internal/fit/ ./internal/stats/ ./internal/ssta/ ./internal/yield/ ./internal/spice/
 
-# Bit-identical serial-vs-parallel multi-start — and bit-identical
-# warm-started library builds across worker counts — under the race
-# detector and several GOMAXPROCS values so the concurrent paths engage.
+# Bit-identical serial-vs-parallel multi-start, bit-identical
+# warm-started library builds across worker counts, and yield estimates
+# bit-identical to the serial batch loop — under the race detector and
+# several GOMAXPROCS values so the concurrent paths engage.
 determinism:
 	$(GO) test -race -cpu 1,4,8 -run 'TestFitLVF2ParallelDeterminism|TestFitLVF2Golden|TestFitLVF2SeededDeterminism' -count 1 ./internal/fit/
 	$(GO) test -race -cpu 1,4,8 -run 'TestBuildWarmDeterminismAcrossWorkers' -count 1 -timeout 15m ./internal/libbuild/
-	$(GO) test -race -cpu 1,4,8 -run 'TestYieldEstimatorDeterminism' -count 1 ./internal/yield/
+	$(GO) test -race -cpu 1,2,4,8 -run 'TestYieldEstimatorDeterminism|TestYieldBitIdenticalToSerial' -count 1 -timeout 15m ./internal/yield/
 
 # Crash-safety chaos suite: randomized seeded fault scripts (disk faults,
 # fit outages, snapshot corruption, kill-and-restart) against lvf2d under
@@ -137,9 +142,12 @@ bench-charlib:
 # Rare-event yield estimator ladder: samples-to-±1%-CI for MC/MNIS/AIS
 # at 3σ/4σ/5σ (acceptance: MNIS and AIS close the 4σ contract with ≥50x
 # fewer samples than plain MC needs, and produce a converged 5σ estimate
-# inside a budget where plain MC cannot), exported as BENCH_yield.json.
+# inside a budget where plain MC cannot), plus ns/sample of the 4σ
+# process-space MNIS/AIS estimates at 1 and 2 scoring workers, exported
+# as BENCH_yield.json.
 bench-yield:
-	$(GO) test -bench 'BenchmarkYield' -benchmem -benchtime 1x -count 3 -run '^$$' -timeout 60m ./internal/yield/ \
+	{ $(GO) test -bench 'BenchmarkYieldContract|BenchmarkYieldLatent' -benchmem -benchtime 1x -count 3 -run '^$$' -timeout 60m ./internal/yield/ && \
+	  $(GO) test -bench 'BenchmarkYieldProcessEstimate' -cpu 1,2 -benchmem -benchtime 3x -count 3 -run '^$$' -timeout 30m ./internal/yield/; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_yield.json
 
 # Paper artefact regeneration benchmarks (tables, figures, ablations).

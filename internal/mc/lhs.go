@@ -44,13 +44,20 @@ func GaussianLHS(rng *RNG, n, d int) [][]float64 {
 
 // GaussianLHSInto is GaussianLHS writing into a reusable matrix.
 func GaussianLHSInto(rng *RNG, n, d int, m *Matrix) [][]float64 {
-	pts := LatinHypercubeInto(rng, n, d, m)
-	for _, row := range pts {
+	return ToGaussian(LatinHypercubeInto(rng, n, d, m))
+}
+
+// ToGaussian maps uniform rows in place through the standard normal
+// quantile and returns them. Each cell is transformed independently, so
+// disjoint row ranges may be transformed concurrently and the result is
+// bit-identical to one pass over all rows.
+func ToGaussian(rows [][]float64) [][]float64 {
+	for _, row := range rows {
 		for j, u := range row {
 			row[j] = stats.StdNormQuantile(clampOpen(u))
 		}
 	}
-	return pts
+	return rows
 }
 
 // GaussianIID returns n IID N(0,1)^d vectors, the non-stratified baseline.

@@ -2,11 +2,9 @@ package mc
 
 import "sync"
 
-// MatrixPool recycles Matrix buffers across goroutines. Every consumer of
-// the Into sampler variants that draws sample blocks on demand — the
-// spice characterisation workers, the rare-event yield estimators — used
-// to carry its own sync.Pool of matrices; this is that pattern, named.
-// The zero value is ready.
+// MatrixPool recycles Matrix buffers across goroutines, for consumers of
+// the Into sampler variants that draw sample blocks on demand, such as
+// the spice characterisation workers. The zero value is ready.
 type MatrixPool struct{ p sync.Pool }
 
 // Get returns a Matrix, allocating one only when the pool is empty.

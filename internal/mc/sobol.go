@@ -1,7 +1,5 @@
 package mc
 
-import "lvf2/internal/stats"
-
 // Sobol quasi-Monte-Carlo sequence, an alternative to LHS for the
 // characterisation sampler. The implementation uses the classic
 // direction numbers from Joe & Kuo for the first dimensions handled here
@@ -142,13 +140,12 @@ func GaussianSobolInto(rng *RNG, n, d int, m *Matrix) [][]float64 {
 	}
 	pts := SobolPointsInto(n, d, m)
 	for _, row := range pts {
-		for j, u := range row {
-			u += shift[j]
-			if u >= 1 {
-				u -= 1
+		for j := range row {
+			row[j] += shift[j]
+			if row[j] >= 1 {
+				row[j] -= 1
 			}
-			row[j] = stats.StdNormQuantile(clampOpen(u))
 		}
 	}
-	return pts
+	return ToGaussian(pts)
 }

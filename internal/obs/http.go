@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -20,17 +21,20 @@ type HTTPMetrics struct {
 	Panics   *Counter
 }
 
-// histVec is a small per-route histogram family. Routes are registered
-// up front by Wrap, so no locking discipline beyond CounterVec's is
-// needed.
+// histVec is a small per-route histogram family. Wrap registers routes,
+// and a handler tree may be assembled per request (the distributed
+// coordinator's Handler is), so the map is guarded.
 type histVec struct {
 	reg     *Registry
 	name    string
 	help    string
+	mu      sync.Mutex
 	byRoute map[string]*Histogram
 }
 
 func (hv *histVec) route(route string) *Histogram {
+	hv.mu.Lock()
+	defer hv.mu.Unlock()
 	if h, ok := hv.byRoute[route]; ok {
 		return h
 	}

@@ -143,6 +143,36 @@ func TestHTTPWrapRecordsMetrics(t *testing.T) {
 	}
 }
 
+// TestHTTPWrapConcurrent: handler trees assembled per request (as the
+// distributed coordinator's Handler is) call Wrap while other requests
+// are served; run under -race -count=10.
+func TestHTTPWrapConcurrent(t *testing.T) {
+	r := NewRegistry()
+	m := NewHTTPMetrics(r, "conc")
+	routes := []string{"/v1/a", "/v1/b", "/v1/c"}
+	const goroutines, perG = 8, 50
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				route := routes[(g+i)%len(routes)]
+				h := m.Wrap(route, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, route, nil))
+			}
+		}(g)
+	}
+	wg.Wait()
+	var total int64
+	for _, route := range routes {
+		total += m.Latency.route(route).Count()
+	}
+	if total != goroutines*perG {
+		t.Fatalf("latency observations = %d, want %d", total, goroutines*perG)
+	}
+}
+
 func TestLimitRejectsWhenSaturated(t *testing.T) {
 	r := NewRegistry()
 	m := NewHTTPMetrics(r, "lim")

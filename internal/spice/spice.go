@@ -135,6 +135,33 @@ func stackVth(vth0 float64, n int) (vthEff, sensMult float64) {
 	return vth0 * (1 + 0.05*float64(n-1)), math.Sqrt(float64(n))
 }
 
+// Point is one arc at one corner and slew–load point, with the terms of
+// the electrical model that do not depend on the process sample — the
+// stacked thresholds and their sensitivities, the regime-switch bias —
+// computed once. Yield estimators and characterisation sweeps evaluate
+// millions of samples at one point. A Point is read-only after At, so
+// one value may be evaluated from several goroutines at once.
+type Point struct {
+	c              Corner
+	e              CellElectrical
+	slewNS, loadPF float64
+	vthA0, sensA   float64 // mechanism A (N network) stacked threshold
+	vthB0, sensB   float64 // mechanism B (P network) stacked threshold
+	bias           float64 // deterministic part of the confrontation variable
+}
+
+// At prepares the arc at one corner and slew–load point. slewNS is the
+// input transition in ns; loadPF the output load in pF.
+func (e CellElectrical) At(c Corner, slewNS, loadPF float64) Point {
+	pt := Point{c: c, e: e, slewNS: slewNS, loadPF: loadPF}
+	pt.vthA0, pt.sensA = stackVth(c.VthN0, e.StackN)
+	pt.vthB0, pt.sensB = stackVth(c.VthP0, e.StackP)
+	// The confrontation variable's deterministic part moves along the
+	// log(slew)−log(load) diagonal.
+	pt.bias = e.MixSens * (math.Log10(slewNS/0.03) - math.Log10(loadPF/0.02) + e.DiagOffset)
+	return pt
+}
+
 // mechanismDelay evaluates one conduction mechanism's load-dependent delay
 // core: k·C_L·V_DD / (drive·mob·(V_DD−V_th)^α), alpha-power law.
 func mechanismDelay(c Corner, drive, mob, vthEff float64, loadPF float64) float64 {
@@ -146,21 +173,20 @@ func mechanismDelay(c Corner, drive, mob, vthEff float64, loadPF float64) float6
 	return kDelay * loadPF * c.VDD / i
 }
 
-// Eval computes (delay, transition) in ns for one process sample at one
-// slew–load point. slewNS is the input transition in ns; loadPF the output
-// load in pF.
-func (e CellElectrical) Eval(c Corner, p Params, slewNS, loadPF float64) (delay, trans float64) {
+// Eval computes (delay, transition) in ns for one process sample at the
+// prepared point.
+func (pt Point) Eval(p Params) (delay, trans float64) {
+	c, e, slewNS, loadPF := &pt.c, &pt.e, pt.slewNS, pt.loadPF
+
 	// Mechanism A: N-network dominated.
-	vthA0, sensA := stackVth(c.VthN0, e.StackN)
-	vthA := vthA0 + c.SigmaVth*sensA*p.VthN
+	vthA := pt.vthA0 + c.SigmaVth*pt.sensA*p.VthN
 	mobA := (1 + c.SigmaMob*p.MobN) / (1 + c.SigmaLen*p.Len)
-	dA := mechanismDelay(c, e.Drive, mobA, vthA, loadPF)
+	dA := mechanismDelay(*c, e.Drive, mobA, vthA, loadPF)
 
 	// Mechanism B: P-network dominated, systematically slower by ModeGap.
-	vthB0, sensB := stackVth(c.VthP0, e.StackP)
-	vthB := vthB0 + c.SigmaVth*sensB*p.VthP
+	vthB := pt.vthB0 + c.SigmaVth*pt.sensB*p.VthP
 	mobB := (1 + c.SigmaMob*p.MobP) / (1 + c.SigmaLen*p.Len)
-	dB := mechanismDelay(c, e.Drive*0.92, mobB, vthB, loadPF) * (1 + e.ModeGap)
+	dB := mechanismDelay(*c, e.Drive*0.92, mobB, vthB, loadPF) * (1 + e.ModeGap)
 
 	// Input-slope terms: slew couples to the (variation-dependent)
 	// switching threshold.
@@ -168,10 +194,8 @@ func (e CellElectrical) Eval(c Corner, p Params, slewNS, loadPF float64) (delay,
 	slopeB := slewNS * (kSlewDelay + 0.28*vthB/c.VDD)
 
 	// Regime switch: which mechanism dominates depends on the
-	// confrontation variable M; its deterministic part moves along the
-	// log(slew)−log(load) diagonal.
-	bias := e.MixSens * (math.Log10(slewNS/0.03) - math.Log10(loadPF/0.02) + e.DiagOffset)
-	m := (p.VthN-p.VthP)/sqrt2 + bias
+	// confrontation variable M.
+	m := (p.VthN-p.VthP)/sqrt2 + pt.bias
 	s := 1 / (1 + math.Exp(-m/modeKappa))
 
 	dTotA := dA + slopeA
@@ -190,13 +214,12 @@ func (e CellElectrical) Eval(c Corner, p Params, slewNS, loadPF float64) (delay,
 	return delay, trans
 }
 
-// EvalVec evaluates the arc at one standardised process vector — the raw
-// row form the mc samplers produce — without the caller spelling out the
-// Params mapping. This is the seam the rare-event yield estimators drive:
-// they walk the N(0,1)^NumParams space directly (shifted proposals,
-// likelihood ratios) and only need "delay at this vector".
-func (e CellElectrical) EvalVec(c Corner, x []float64, slewNS, loadPF float64) (delay, trans float64) {
-	return e.Eval(c, ParamsFromVector(x), slewNS, loadPF)
+// Eval computes (delay, transition) in ns for one process sample at one
+// slew–load point. slewNS is the input transition in ns; loadPF the output
+// load in pF. Callers evaluating many samples at one point prepare it
+// once with At.
+func (e CellElectrical) Eval(c Corner, p Params, slewNS, loadPF float64) (delay, trans float64) {
+	return e.At(c, slewNS, loadPF).Eval(p)
 }
 
 // NominalEval evaluates the arc at the process nominal (all deviations 0).
@@ -280,8 +303,9 @@ func (e CellElectrical) characterizeInto(c Corner, rng *mc.RNG, n int, slewNS, l
 		Delays:      make([]float64, n),
 		Transitions: make([]float64, n),
 	}
+	pt := e.At(c, slewNS, loadPF)
 	for i, row := range pts {
-		d, t := e.Eval(c, ParamsFromVector(row), slewNS, loadPF)
+		d, t := pt.Eval(ParamsFromVector(row))
 		res.Delays[i] = d
 		res.Transitions[i] = t
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"lvf2/internal/mc"
 )
@@ -40,36 +41,25 @@ func (ais) Estimate(ctx context.Context, spec Spec, c Contract) (Result, error) 
 		return Result{}, fmt.Errorf("%w (estimator ais, %d evals)", ErrNoFailureRegion, searchEvals)
 	}
 
-	m := matrixPool.Get()
-	defer matrixPool.Put(m)
+	sc := newScorer(spec, c.Batch, runtime.GOMAXPROCS(0))
+	defer sc.stop()
 
 	var a acc
-	d := spec.Dim
-	x := make([]float64, d)
-	cx := make([]float64, d) // weighted failure centroid accumulator
+	cx := make([]float64, spec.Dim) // weighted failure centroid accumulator
 	budget := c.MaxSamples - searchEvals
 	for a.n < budget && ctx.Err() == nil {
 		batch := c.Batch
 		if rem := budget - a.n; batch > rem {
 			batch = rem
 		}
-		var halfNorm2 float64
-		for _, ci := range center {
-			halfNorm2 += ci * ci / 2
-		}
+		rows := mc.LatinHypercubeInto(rng, batch, spec.Dim, &sc.m)
+		sc.score(rows, center)
 		var cw float64
 		for j := range cx {
 			cx[j] = 0
 		}
-		pts := mc.GaussianLHSInto(rng, batch, d, m)
-		for _, z := range pts {
-			var dot float64
-			for j, cj := range center {
-				dot += z[j] * cj
-				x[j] = z[j] + cj
-			}
-			w := math.Exp(-dot - halfNorm2)
-			failed := spec.Eval(x) > spec.Threshold
+		for i, x := range rows {
+			w, failed := sc.w[i], sc.fail[i]
 			a.observe(w, failed)
 			if failed && a.batches < aisAdaptRounds {
 				cw += w

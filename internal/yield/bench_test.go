@@ -79,3 +79,36 @@ func BenchmarkYieldLatent(b *testing.B) {
 	}
 	b.ReportMetric(float64(r.Samples), "samples/op")
 }
+
+// BenchmarkYieldProcessEstimate measures the cost per process-space
+// sample of the importance-sampling rungs at 4σ on the INV arc: the
+// failure-point search, the Φ⁻¹ transforms, the spice evaluations and
+// the fold, spread over GOMAXPROCS scoring workers (compare -cpu 1,2).
+// Under -short the contract relaxes so the code path runs in well under
+// a second.
+func BenchmarkYieldProcessEstimate(b *testing.B) {
+	spec := arcSpec(b, 4)
+	contract := Contract{}
+	if testing.Short() {
+		contract = Contract{RelErr: 0.05, MaxSamples: 1 << 17}
+	}
+	for _, name := range []string{"mnis", "ais"} {
+		b.Run(name, func(b *testing.B) {
+			est, err := New(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			var samples int
+			for i := 0; i < b.N; i++ {
+				r, err := est.Estimate(context.Background(), spec, contract)
+				if err != nil {
+					b.Fatal(err)
+				}
+				samples += r.Samples
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(samples), "ns/sample")
+			b.ReportMetric(float64(samples)/float64(b.N), "samples/op")
+		})
+	}
+}

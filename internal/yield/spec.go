@@ -20,11 +20,12 @@ const (
 // space the characterisation samplers draw from — so the estimate is a
 // golden-model tail probability, independent of any fitted distribution.
 func FromArc(e spice.CellElectrical, c spice.Corner, metric Metric, slewNS, loadPF, threshold float64) Spec {
+	pt := e.At(c, slewNS, loadPF)
 	return Spec{
 		Dim:       spice.NumParams,
 		Threshold: threshold,
 		Eval: func(x []float64) float64 {
-			delay, trans := e.EvalVec(c, x, slewNS, loadPF)
+			delay, trans := pt.Eval(spice.ParamsFromVector(x))
 			if metric == MetricTransition {
 				return trans
 			}

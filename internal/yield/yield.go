@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"lvf2/internal/mc"
 	"lvf2/internal/stats"
@@ -38,7 +39,9 @@ type Spec struct {
 	Dim int
 	// Eval returns the performance metric (delay) at one process vector.
 	// The slice is only valid for the duration of the call. Eval must be
-	// deterministic: the estimators re-evaluate regions freely.
+	// deterministic: the estimators re-evaluate regions freely. Eval must
+	// also be safe for concurrent use: an estimate scores each batch's
+	// samples on up to GOMAXPROCS goroutines.
 	Eval func(x []float64) float64
 	// Threshold is the failure boundary (the clock target): a sample
 	// fails when Eval(x) > Threshold.
@@ -152,9 +155,11 @@ type Result struct {
 }
 
 // Estimator is one rung of the ladder. Estimate must be deterministic
-// for fixed (Spec, Contract) and must honour ctx between batches,
-// returning its partial estimate (Converged=false) rather than an error
-// when the deadline or budget cuts sampling short.
+// for fixed (Spec, Contract) — bit-identical at any GOMAXPROCS — and
+// must honour ctx between batches, returning its partial estimate
+// (Converged=false) rather than an error when the deadline or budget
+// cuts sampling short. A panic in Spec.Eval is re-raised on the calling
+// goroutine, and no goroutine an estimate starts outlives it.
 type Estimator interface {
 	Name() string
 	Estimate(ctx context.Context, spec Spec, c Contract) (Result, error)
@@ -175,10 +180,6 @@ func New(name string) (Estimator, error) {
 	}
 	return nil, fmt.Errorf("yield: unknown estimator %q (want mc|mnis|ais)", name)
 }
-
-// matrixPool recycles the sample matrices across estimates, sharing the
-// pooled-plan pattern of the spice characterisation workers.
-var matrixPool mc.MatrixPool
 
 // acc accumulates the weighted failure indicators u_i = w_i·1{fail} of
 // one estimate, plus the all-sample likelihood-ratio moments for the ESS
@@ -271,40 +272,19 @@ func (a *acc) result(name string, c Contract, searchEvals int, shift []float64) 
 // meets the contract, or when the budget (minus evals already spent on
 // the failure-point search) or the context deadline runs out.
 func sampleLoop(ctx context.Context, spec Spec, c Contract, rng *mc.RNG, center []float64, searchEvals int, name string) Result {
-	m := matrixPool.Get()
-	defer matrixPool.Put(m)
+	sc := newScorer(spec, c.Batch, runtime.GOMAXPROCS(0))
+	defer sc.stop()
 
 	var a acc
-	var halfNorm2 float64
-	var x []float64
-	if center != nil {
-		for _, ci := range center {
-			halfNorm2 += ci * ci / 2
-		}
-		x = make([]float64, spec.Dim)
-	}
 	budget := c.MaxSamples - searchEvals
 	for a.n < budget && ctx.Err() == nil {
 		batch := c.Batch
 		if rem := budget - a.n; batch > rem {
 			batch = rem
 		}
-		pts := mc.GaussianLHSInto(rng, batch, spec.Dim, m)
-		for _, z := range pts {
-			w := 1.0
-			row := z
-			if center != nil {
-				// x = z + c drawn from N(c, I); the likelihood ratio against
-				// the nominal N(0, I) is φ(x)/φ(x−c) = exp(−z·c − ‖c‖²/2).
-				var dot float64
-				for j, cj := range center {
-					dot += z[j] * cj
-					x[j] = z[j] + cj
-				}
-				w = math.Exp(-dot - halfNorm2)
-				row = x
-			}
-			a.observe(w, spec.Eval(row) > spec.Threshold)
+		sc.score(mc.LatinHypercubeInto(rng, batch, spec.Dim, &sc.m), center)
+		for i := 0; i < batch; i++ {
+			a.observe(sc.w[i], sc.fail[i])
 		}
 		a.batches++
 		if r := a.result(name, c, searchEvals, nil); r.Converged {

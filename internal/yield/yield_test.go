@@ -79,14 +79,18 @@ func TestOracleGaussianTailMC(t *testing.T) {
 // arcSpec is the 6-dimensional process-space problem the engine serves:
 // an INV delay arc at one grid point, thresholded at the golden μ+kσ.
 func arcSpec(t testing.TB, sigma float64) Spec {
+	return arcSpecAt(t, "INV", 0.02, 0.008, sigma)
+}
+
+// arcSpecAt is arcSpec for the first arc of any cell at any grid point.
+func arcSpecAt(t testing.TB, cell string, slew, load, sigma float64) Spec {
 	t.Helper()
-	inv, ok := cells.CellByName("INV")
+	ct, ok := cells.CellByName(cell)
 	if !ok {
-		t.Fatal("no INV cell")
+		t.Fatalf("no %s cell", cell)
 	}
-	arc := inv.Arcs()[0]
+	arc := ct.Arcs()[0]
 	corner := spice.TTCorner()
-	const slew, load = 0.02, 0.008
 	// Golden moments from a moderate MC pass set the threshold.
 	res := arc.Elec.Characterize(corner, mc.NewRNG(0xfeed), 20000, slew, load)
 	var mean, m2 float64
