@@ -4,12 +4,19 @@ GO ?= go
 
 all: build
 
+# perfbench/ is a module of its own, so ./... at the root skips it; the
+# gate builds and vets it too, offline as perfbench/run.sh does, so an
+# API cut in the packages it uses fails here first.
+PERFBENCH_GO = cd perfbench && GOPROXY=off GOFLAGS=-mod=readonly GOWORK=off $(GO)
+
 build:
 	$(GO) build ./...
+	$(PERFBENCH_GO) build -o /dev/null .
 
 # gofmt gate: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	$(PERFBENCH_GO) vet .
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
@@ -106,13 +113,16 @@ bench-smoke:
 # crash-safety guards + the benchmark smoke pass.
 check: vet build race allocbudget determinism chaos chaos-ckpt chaos-dist chaos-replica chaos-churn bench-smoke
 
-# Short fuzz pass over the Liberty/netlist parsers and the journaled
-# work-unit payload decoder.
+# Short fuzz pass over the Liberty/netlist parsers, the journaled
+# work-unit payload decoder, the lvf2d arc-query parse step and the
+# membership document parser.
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s -run '^$$' ./internal/liberty/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s -run '^$$' ./internal/liberty/
 	$(GO) test -fuzz FuzzParseNetlist -fuzztime 30s -run '^$$' ./internal/netlist/
 	$(GO) test -fuzz FuzzDecodeUnit -fuzztime 30s -run '^$$' ./internal/libbuild/
+	$(GO) test -fuzz FuzzArcQuery -fuzztime 30s -run '^$$' ./internal/server/
+	$(GO) test -fuzz FuzzParseMembership -fuzztime 30s -run '^$$' ./internal/server/
 
 # Micro benchmarks with memory stats, exported as BENCH_fit.json evidence.
 BENCH_FILTER = BenchmarkFit|BenchmarkSNCDF|BenchmarkOwenT|BenchmarkQuantileGrid|BenchmarkMaxMoments|BenchmarkCharacterizeArc|BenchmarkSSTASum|BenchmarkLibertyParse

@@ -15,8 +15,10 @@
 // model cache is sharded over a consistent-hash ring, non-owned queries
 // forward to their owner (falling back to a local compute if the owner
 // is down), and a restarting replica warm-seeds its owned keys from its
-// peers. Every replica lists every other replica; the fleet membership
-// is validated before the listener starts.
+// peers. -peers is shorthand for the epoch-0 membership document of this
+// replica plus the listed ones (-membership names a document instead);
+// the document is validated before the listener starts, and every
+// replica boots through the same join sequence.
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections and drains
 // in-flight requests for up to -drain before exiting.
@@ -79,33 +81,7 @@ func main() {
 	// Fleet membership is validated before anything listens: a typo in
 	// -peers or the membership file must be an exit-2 usage error, not a
 	// replica that silently serves standalone.
-	peers, err := server.ParsePeers(peerSpecs)
-	var bootMembership *server.Membership
-	if err == nil {
-		if len(peers) > 0 || *peerID != "" {
-			err = server.ValidatePeerFleet(*peerID, peers)
-		}
-		if err == nil && *peerID != "" && len(peers) == 0 && *membership == "" {
-			err = fmt.Errorf("-peer-id %q given without -peers or -membership", *peerID)
-		}
-	}
-	if err == nil && *membership != "" {
-		switch {
-		case len(peers) > 0:
-			err = fmt.Errorf("-membership and -peers are mutually exclusive")
-		case *peerID == "":
-			err = fmt.Errorf("-membership requires -peer-id")
-		default:
-			var m server.Membership
-			if m, err = server.LoadMembershipFile(*membership); err == nil {
-				if !m.Has(*peerID) {
-					err = fmt.Errorf("membership file %s does not list this replica (%q)", *membership, *peerID)
-				} else {
-					bootMembership = &m
-				}
-			}
-		}
-	}
+	boot, err := fleetMembership(*peerID, *selfURL, *membership, peerSpecs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lvf2d: %v\n\n", err)
 		flag.Usage()
@@ -130,8 +106,7 @@ func main() {
 		Replication: server.ReplicationOptions{
 			SelfID:                 *peerID,
 			SelfURL:                *selfURL,
-			Peers:                  peers,
-			Membership:             bootMembership,
+			Membership:             boot,
 			MembershipPath:         *membership,
 			MembershipPollInterval: *memberPoll,
 			AntiEntropyInterval:    *aeEvery,
@@ -155,25 +130,17 @@ func main() {
 	// or version-skewed snapshot is logged and counted but never fatal.
 	srv.Bootstrap()
 
-	// In a fleet, pull this replica's owned slice of the model cache
-	// back from whichever peers absorbed it while we were down. Best
-	// effort: dead peers just contribute nothing. Booting from a
-	// membership document runs the full graceful-join sequence instead:
-	// announce the document to the incumbents (a no-op when they already
-	// have it), then warm-seed — /readyz answers "warming" throughout.
-	switch {
-	case bootMembership != nil:
+	// In a fleet, run the graceful-join sequence before listening:
+	// announce the boot document to the other members (an epoch-0
+	// document from -peers cannot advance any peer's epoch), then pull
+	// this replica's owned slice of the model cache back from whichever
+	// peers absorbed it. Best effort: dead peers contribute nothing.
+	if boot != nil {
 		wctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		n := srv.JoinFleet(wctx)
 		cancel()
 		fmt.Fprintf(os.Stderr, "lvf2d: replica %q joined a %d-replica fleet at epoch %d, warm-seeded %d models\n",
-			*peerID, len(bootMembership.Members), bootMembership.Epoch, n)
-	case len(peers) > 0:
-		wctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		n := srv.WarmSeedFromPeers(wctx)
-		cancel()
-		fmt.Fprintf(os.Stderr, "lvf2d: replica %q in a %d-replica fleet, warm-seeded %d models\n",
-			*peerID, len(peers)+1, n)
+			*peerID, len(boot.Members), boot.Epoch, n)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -220,6 +187,51 @@ func (p *peerFlags) Set(v string) error {
 	}
 	*p = append(*p, v)
 	return nil
+}
+
+// fleetMembership turns the fleet flags into the boot membership
+// document, or nil for a standalone daemon. -membership names the
+// document; -peers is shorthand for the epoch-0 document of this
+// replica (-peer-id, -self-url) plus the listed peers. Either way the
+// document's own Validate is the fleet check.
+func fleetMembership(peerID, selfURL, membershipPath string, peerSpecs []string) (*server.Membership, error) {
+	if membershipPath != "" {
+		if len(peerSpecs) > 0 {
+			return nil, fmt.Errorf("-membership and -peers are mutually exclusive")
+		}
+		m, err := server.LoadMembershipFile(membershipPath)
+		if err != nil {
+			return nil, err
+		}
+		if !m.Has(peerID) {
+			return nil, fmt.Errorf("membership file %s does not list -peer-id %q", membershipPath, peerID)
+		}
+		return &m, nil
+	}
+	if len(peerSpecs) == 0 {
+		if peerID != "" {
+			return nil, fmt.Errorf("-peer-id %q given without -peers or -membership", peerID)
+		}
+		return nil, nil
+	}
+	m := server.Membership{Members: []server.Peer{{ID: peerID, URL: strings.TrimRight(selfURL, "/")}}}
+	for _, spec := range peerSpecs {
+		for _, entry := range strings.Split(spec, ",") {
+			entry = strings.TrimSpace(entry)
+			if entry == "" {
+				continue
+			}
+			id, u, ok := strings.Cut(entry, "=")
+			if !ok {
+				return nil, fmt.Errorf("-peers entry %q: want id=url", entry)
+			}
+			m.Members = append(m.Members, server.Peer{ID: id, URL: strings.TrimRight(u, "/")})
+		}
+	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return &m, nil
 }
 
 func fatal(err error) {

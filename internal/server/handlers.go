@@ -119,19 +119,125 @@ func parseArcQuery(r *http.Request) (arcQuery, error) {
 	}
 	var err error
 	if v := q.Get("slew"); v != "" {
-		if aq.slew, err = strconv.ParseFloat(v, 64); err != nil {
-			return aq, badRequest("bad slew %q", v)
+		if aq.slew, err = parseFinite("slew", v); err != nil {
+			return aq, err
 		}
 	}
 	if v := q.Get("load"); v != "" {
-		if aq.load, err = strconv.ParseFloat(v, 64); err != nil {
-			return aq, badRequest("bad load %q", v)
+		if aq.load, err = parseFinite("load", v); err != nil {
+			return aq, err
 		}
 	}
 	if aq.kind, err = parseKind(q.Get("kind")); err != nil {
 		return aq, err
 	}
 	return aq, nil
+}
+
+// parseFinite parses one numeric query parameter. strconv accepts NaN
+// and ±Inf, and NaN passes every range check after it, so both are
+// refused here.
+func parseFinite(name, v string) (float64, error) {
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, badRequest("bad %s %q", name, v)
+	}
+	return f, nil
+}
+
+// arcEndpoint names the endpoints that share serveArc.
+type arcEndpoint int
+
+const (
+	arcCDF arcEndpoint = iota
+	arcBinning
+	arcYield
+)
+
+// sigmaBins is the bin count of the σ-convention boundaries every
+// binning answer uses, so a prices list can be checked before anything
+// runs.
+var sigmaBins = len(binning.SigmaBoundaries(0, 1)) + 1
+
+// arcRequest is an arc query with every parameter its endpoint reads.
+type arcRequest struct {
+	arcQuery
+	points []float64   // cdf: explicit abscissae; nil = an n-point grid
+	n      int         // cdf: grid size
+	prices []float64   // binning: per-bin prices; nil = no revenue
+	yield  yieldParams // GET /v1/yield
+}
+
+// parseArcRequest parses every parameter endpoint ep takes. It runs
+// before the arc is resolved or forwarded, so a malformed query is a
+// local 400 and never costs a peer round trip.
+func parseArcRequest(r *http.Request, ep arcEndpoint) (arcRequest, error) {
+	aq, err := parseArcQuery(r)
+	if err != nil {
+		return arcRequest{}, err
+	}
+	ar := arcRequest{arcQuery: aq, n: 21}
+	q := r.URL.Query()
+	switch ep {
+	case arcCDF:
+		if v := q.Get("points"); v != "" {
+			if ar.points, err = parseFloats(v); err != nil {
+				return ar, badRequest("bad points: %v", err)
+			}
+		} else if v := q.Get("n"); v != "" {
+			if ar.n, err = strconv.Atoi(v); err != nil || ar.n < 2 || ar.n > 4096 {
+				return ar, badRequest("bad n %q (want 2..4096)", v)
+			}
+		}
+	case arcBinning:
+		if v := q.Get("prices"); v != "" {
+			if ar.prices, err = parseFloats(v); err != nil {
+				return ar, badRequest("bad prices: %v", err)
+			}
+			if len(ar.prices) != sigmaBins {
+				return ar, badRequest("prices wants %d values (one per bin), got %d", sigmaBins, len(ar.prices))
+			}
+		}
+	case arcYield:
+		ar.yield, err = parseYieldParams(q)
+	}
+	return ar, err
+}
+
+// arcAnswer is what serveArc hands an arc endpoint: the parsed request,
+// the arc it resolved to and the model that serves it.
+type arcAnswer struct {
+	arcRequest
+	ra   *resolvedArc
+	m    core.Model
+	used fit.Model // the kind served; differs from kind only when deg is set
+	deg  *degradedDTO
+}
+
+// serveArc is the one path every arc endpoint takes to its model: parse
+// every parameter → resolve the arc → forward to the ring owner or build
+// the model here → tag a degraded answer. ok is false when the response
+// is already written (an error, or the owner's relayed answer).
+func (s *Server) serveArc(w http.ResponseWriter, r *http.Request, ep arcEndpoint) (a arcAnswer, ok bool) {
+	var err error
+	if a.arcRequest, err = parseArcRequest(r, ep); err == nil {
+		a.ra, err = s.resolveArc(a.arcQuery)
+	}
+	if err != nil {
+		fail(w, r, err)
+		return a, false
+	}
+	if s.maybeForward(w, r, a.ra, a.arcQuery) {
+		return a, false
+	}
+	if a.m, a.used, a.deg, err = s.modelFor(r, a.ra, a.arcQuery); err != nil {
+		fail(w, r, err)
+		return a, false
+	}
+	if a.deg != nil {
+		w.Header().Set(degradedHeader, a.deg.Rung)
+	}
+	return a, true
 }
 
 // resolvedArc binds a query to one Liberty timing table.
@@ -330,7 +436,14 @@ func (s *Server) refitModel(r *http.Request, ra *resolvedArc, aq arcQuery, key m
 // fitWithDeadline runs the cache-miss fit, racing it against the
 // request context and reporting the outcome to the breaker.
 func (s *Server) fitWithDeadline(ctx context.Context, ra *resolvedArc, aq arcQuery, key modelcache.ModelKey, bk breakerKey, probe bool) (core.Model, fit.Model, *degradedDTO, error) {
-	fitFn := func() (core.Model, error) {
+	fitFn := func() (m core.Model, err error) {
+		// This runs on its own goroutine, out of obs.Recover's reach: a
+		// panic becomes a fit error for the breaker and the ladder.
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("fit panicked: %v", p)
+			}
+		}()
 		if s.cfg.fitFault != nil {
 			if err := s.cfg.fitFault(ctx); err != nil {
 				return core.Model{}, err
@@ -342,7 +455,7 @@ func (s *Server) fitWithDeadline(ctx context.Context, ra *resolvedArc, aq arcQue
 			return core.Model{}, err
 		}
 		xs := quantileSamples(base.Dist(), s.cfg.FitSamples)
-		m, _, err := core.FitKindRobust(aq.kind, xs, fit.RobustOptions{})
+		m, _, err = core.FitKindRobust(aq.kind, xs, fit.RobustOptions{})
 		if err == nil {
 			s.fitCost.observe(time.Since(start))
 		}
@@ -386,11 +499,8 @@ func (s *Server) degradedModel(ra *resolvedArc, aq arcQuery, reason string) (cor
 		return &degradedDTO{Rung: rung.String(), Requested: aq.kind.String(), Reason: reason}
 	}
 	if aq.kind != fit.ModelNorm2 {
-		k := modelcache.ModelKey{
-			LibHash: ra.src.hash, Cell: ra.cell.Name, OutputPin: ra.out.Name,
-			RelatedPin: ra.arc.RelatedPin, Base: aq.base,
-			Slew: aq.slew, Load: aq.load, Kind: fit.ModelNorm2,
-		}
+		k := cacheKeyFor(ra, aq)
+		k.Kind = fit.ModelNorm2
 		if m, ok := s.cache.Peek(k); ok {
 			return m, fit.ModelNorm2, deg(fit.ModelNorm2), nil
 		}
@@ -487,53 +597,23 @@ type cdfResponse struct {
 }
 
 func (s *Server) handleArcCDF(w http.ResponseWriter, r *http.Request) {
-	aq, err := parseArcQuery(r)
-	if err != nil {
-		fail(w, r, err)
+	a, ok := s.serveArc(w, r, arcCDF)
+	if !ok {
 		return
 	}
-	ra, err := s.resolveArc(aq)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	if s.maybeForward(w, r, ra, aq) {
-		return
-	}
-	m, used, deg, err := s.modelFor(r, ra, aq)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	if deg != nil {
-		w.Header().Set(degradedHeader, deg.Rung)
-	}
-	d := m.Dist()
+	d := a.m.Dist()
 	mean, std := d.Mean(), stats.Std(d)
-
-	var xs []float64
-	if pts := r.URL.Query().Get("points"); pts != "" {
-		if xs, err = parseFloats(pts); err != nil {
-			fail(w, r, badRequest("bad points: %v", err))
-			return
-		}
-	} else {
-		n := 21
-		if v := r.URL.Query().Get("n"); v != "" {
-			if n, err = strconv.Atoi(v); err != nil || n < 2 || n > 4096 {
-				fail(w, r, badRequest("bad n %q (want 2..4096)", v))
-				return
-			}
-		}
+	xs := a.points
+	if xs == nil {
 		// Evenly spaced over mean ± 4σ: covers the binning range with
 		// margin.
-		xs = make([]float64, n)
+		xs = make([]float64, a.n)
 		for i := range xs {
-			xs[i] = mean - 4*std + 8*std*float64(i)/float64(n-1)
+			xs[i] = mean - 4*std + 8*std*float64(i)/float64(a.n-1)
 		}
 	}
 	resp := cdfResponse{
-		Arc: dtoFromArc(ra, aq), Model: dtoFromModel(used, m), Degraded: deg,
+		Arc: dtoFromArc(a.ra, a.arcQuery), Model: dtoFromModel(a.used, a.m), Degraded: a.deg,
 		Mean: mean, Std: std,
 		Points: make([]cdfPoint, len(xs)),
 	}
@@ -558,49 +638,23 @@ type binningResponse struct {
 }
 
 func (s *Server) handleArcBinning(w http.ResponseWriter, r *http.Request) {
-	aq, err := parseArcQuery(r)
-	if err != nil {
-		fail(w, r, err)
+	a, ok := s.serveArc(w, r, arcBinning)
+	if !ok {
 		return
 	}
-	ra, err := s.resolveArc(aq)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	if s.maybeForward(w, r, ra, aq) {
-		return
-	}
-	m, used, deg, err := s.modelFor(r, ra, aq)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	if deg != nil {
-		w.Header().Set(degradedHeader, deg.Rung)
-	}
-	d := m.Dist()
+	d := a.m.Dist()
 	mean, std := d.Mean(), stats.Std(d)
 	bounds := binning.SigmaBoundaries(mean, std)
 	probs := binning.DistProbabilities(d, bounds)
 	resp := binningResponse{
-		Arc: dtoFromArc(ra, aq), Model: dtoFromModel(used, m), Degraded: deg,
+		Arc: dtoFromArc(a.ra, a.arcQuery), Model: dtoFromModel(a.used, a.m), Degraded: a.deg,
 		Mean: mean, Std: std,
 		Boundaries:    bounds,
 		Probabilities: probs,
 		Yield3Sigma:   binning.Yield3Sigma(d.CDF, mean, std),
 	}
-	if pv := r.URL.Query().Get("prices"); pv != "" {
-		prices, err := parseFloats(pv)
-		if err != nil {
-			fail(w, r, badRequest("bad prices: %v", err))
-			return
-		}
-		if len(prices) != len(probs) {
-			fail(w, r, badRequest("prices wants %d values (one per bin), got %d", len(probs), len(prices)))
-			return
-		}
-		rev := binning.ExpectedRevenue(probs, prices)
+	if a.prices != nil {
+		rev := binning.ExpectedRevenue(probs, a.prices)
 		resp.ExpectedRevenue = &rev
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -632,30 +686,11 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 		s.handleNetlistYield(w, r)
 		return
 	}
-	aq, err := parseArcQuery(r)
-	if err != nil {
-		fail(w, r, err)
+	a, ok := s.serveArc(w, r, arcYield)
+	if !ok {
 		return
 	}
-	yp, err := parseYieldParams(r.URL.Query())
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	ra, err := s.resolveArc(aq)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	if s.maybeForward(w, r, ra, aq) {
-		return
-	}
-	m, used, deg, err := s.modelFor(r, ra, aq)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	d := m.Dist()
+	d, yp := a.m.Dist(), a.yield
 	sigma := defaultYieldSigma
 	if yp.hasSigma {
 		sigma = yp.sigma
@@ -664,53 +699,40 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 	if yp.hasClock {
 		clock = yp.clock
 	}
-	resp := yieldResponse{Degraded: deg, Clock: clock,
-		Yield: map[string]float64{used.String(): d.CDF(clock)}}
-	arc := dtoFromArc(ra, aq)
-	model := dtoFromModel(used, m)
-	resp.Arc, resp.Model = &arc, &model
+	arc, model := dtoFromArc(a.ra, a.arcQuery), dtoFromModel(a.used, a.m)
+	resp := yieldResponse{Arc: &arc, Model: &model, Degraded: a.deg, Clock: clock,
+		Yield: map[string]float64{a.used.String(): d.CDF(clock)}}
 	if yp.estimator != "" {
-		resp.Estimate = s.estimateArcYield(r.Context(), ra, aq, d, clock, yp)
-		if deg == nil && resp.Estimate.Degraded != nil {
-			deg = resp.Estimate.Degraded
+		resp.Estimate = s.estimateArcYield(r.Context(), a.ra, a.arcQuery, d, clock, yp)
+		if a.deg == nil && resp.Estimate.Degraded != nil {
+			w.Header().Set(degradedHeader, resp.Estimate.Degraded.Rung)
 		}
-	}
-	if deg != nil {
-		w.Header().Set(degradedHeader, deg.Rung)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleNetlistYield(w http.ResponseWriter, r *http.Request) {
-	req, mod, lib, err := s.decodeNetlistRequest(r)
+	var yp yieldParams
+	run, err := s.runNetlist(r, func(req netlistRequest) error {
+		yp = yieldParams{
+			sigma: req.Sigma, hasSigma: req.Sigma != 0,
+			clock: req.Clock, hasClock: req.Clock > 0,
+			estimator: req.Estimator, ci: req.CI,
+		}
+		if err := yp.validate(); err != nil {
+			return err
+		}
+		if !yp.hasClock && !yp.hasSigma {
+			return badRequest("netlist yield needs a positive clock (or sigma)")
+		}
+		return nil
+	})
 	if err != nil {
 		fail(w, r, err)
 		return
 	}
-	yp := yieldParams{
-		sigma: req.Sigma, hasSigma: req.Sigma != 0,
-		clock: req.Clock, hasClock: req.Clock > 0,
-		estimator: req.Estimator, ci: req.CI,
-	}
-	if err := yp.validate(); err != nil {
-		fail(w, r, err)
-		return
-	}
-	if !yp.hasClock && !yp.hasSigma {
-		fail(w, r, badRequest("netlist yield needs a positive clock (or sigma)"))
-		return
-	}
-	fams, err := parseFamilies(req.Families)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	res, err := sta.Run(lib, mod, sta.Options{InputSlew: req.Slew, Families: fams})
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	clock := req.Clock
+	res, mod, fams := run.res, run.mod, run.fams
+	clock := yp.clock
 	if !yp.hasClock {
 		// sigma target: clock = critical-output μ+sσ under the first
 		// requested family, shared by every family so the answers compare.
@@ -719,14 +741,10 @@ func (s *Server) handleNetlistYield(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	resp := yieldResponse{Clock: clock, Yield: make(map[string]float64, len(fams))}
-	for _, fam := range fams {
-		y, err := res.YieldAtClock(mod, fam, clock)
-		if err != nil {
-			fail(w, r, err)
-			return
-		}
-		resp.Yield[fam.String()] = y
+	resp := yieldResponse{Clock: clock}
+	if resp.Yield, err = run.yieldAtClock(clock); err != nil {
+		fail(w, r, err)
+		return
 	}
 	if yp.estimator != "" {
 		resp.Estimates = make(map[string]*yieldEstimateDTO, len(fams))
@@ -842,6 +860,49 @@ func (s *Server) decodeNetlistRequest(r *http.Request) (netlistRequest, *netlist
 	return req, mod, lib, nil
 }
 
+// netlistRun is a decoded netlist request and its SSTA result.
+type netlistRun struct {
+	req  netlistRequest
+	mod  *netlist.Module
+	fams []fit.Model
+	res  *sta.Result
+}
+
+// runNetlist is the shared head of POST /v1/ssta and POST /v1/yield:
+// decode the body, apply the endpoint's own check (nil for none) before
+// any work, pick the model families and run block-based SSTA.
+func (s *Server) runNetlist(r *http.Request, check func(netlistRequest) error) (*netlistRun, error) {
+	req, mod, lib, err := s.decodeNetlistRequest(r)
+	if err == nil && check != nil {
+		err = check(req)
+	}
+	if err != nil {
+		return nil, err
+	}
+	run := &netlistRun{req: req, mod: mod}
+	if run.fams, err = parseFamilies(req.Families); err != nil {
+		return nil, err
+	}
+	if run.res, err = sta.Run(lib, mod, sta.Options{InputSlew: req.Slew, Families: run.fams}); err != nil {
+		return nil, err
+	}
+	return run, nil
+}
+
+// yieldAtClock is the analytic chip yield of every requested family at
+// one clock, keyed by family name.
+func (n *netlistRun) yieldAtClock(clock float64) (map[string]float64, error) {
+	ys := make(map[string]float64, len(n.fams))
+	for _, fam := range n.fams {
+		y, err := n.res.YieldAtClock(n.mod, fam, clock)
+		if err != nil {
+			return nil, err
+		}
+		ys[fam.String()] = y
+	}
+	return ys, nil
+}
+
 func parseFamilies(names []string) ([]fit.Model, error) {
 	if len(names) == 0 {
 		return []fit.Model{fit.ModelLVF, fit.ModelLVF2}, nil
@@ -892,21 +953,12 @@ func (s *Server) handleSSTA(w http.ResponseWriter, r *http.Request) {
 		fail(w, r, &httpError{code: http.StatusMethodNotAllowed, msg: "POST a netlist request"})
 		return
 	}
-	req, mod, lib, err := s.decodeNetlistRequest(r)
+	run, err := s.runNetlist(r, nil)
 	if err != nil {
 		fail(w, r, err)
 		return
 	}
-	fams, err := parseFamilies(req.Families)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	res, err := sta.Run(lib, mod, sta.Options{InputSlew: req.Slew, Families: fams})
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
+	req, mod, res := run.req, run.mod, run.res
 	nets := mod.Outputs()
 	if req.AllNets {
 		nets = mod.Nets()
@@ -942,14 +994,9 @@ func (s *Server) handleSSTA(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	if req.Clock > 0 {
-		resp.Yield = make(map[string]float64, len(fams))
-		for _, fam := range fams {
-			y, err := res.YieldAtClock(mod, fam, req.Clock)
-			if err != nil {
-				fail(w, r, err)
-				return
-			}
-			resp.Yield[fam.String()] = y
+		if resp.Yield, err = run.yieldAtClock(req.Clock); err != nil {
+			fail(w, r, err)
+			return
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -1006,7 +1053,7 @@ func (s *Server) handleLibraries(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// parseFloats parses a comma-separated float list.
+// parseFloats parses a comma-separated list of finite floats.
 func parseFloats(s string) ([]float64, error) {
 	parts := strings.Split(s, ",")
 	out := make([]float64, 0, len(parts))
@@ -1016,7 +1063,7 @@ func parseFloats(s string) ([]float64, error) {
 			continue
 		}
 		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("bad value %q", p)
 		}
 		out = append(out, v)

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -78,10 +79,7 @@ func driveGrid(t testing.TB, s *Server) {
 // ----------------------------------------------------------- document
 
 func TestParseMembership(t *testing.T) {
-	doc := []byte(`{"epoch": 3, "members": [
-		{"id": "a", "url": "http://replica-a/"},
-		{"id": "b", "url": "http://replica-b"}]}`)
-	m, err := ParseMembership(doc)
+	m, err := ParseMembership([]byte(goodMembershipDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,20 +93,53 @@ func TestParseMembership(t *testing.T) {
 		t.Fatal("Has is wrong")
 	}
 
-	bad := map[string]string{
-		"no_members": `{"epoch": 1, "members": []}`,
-		"no_id":      `{"epoch": 1, "members": [{"url": "http://x"}]}`,
-		"dup_id":     `{"epoch": 1, "members": [{"id":"a","url":"http://x"},{"id":"a","url":"http://y"}]}`,
-		"dup_url":    `{"epoch": 1, "members": [{"id":"a","url":"http://x"},{"id":"b","url":"http://x"}]}`,
-		"bad_scheme": `{"epoch": 1, "members": [{"id":"a","url":"ftp://x"}]}`,
-		"url_path":   `{"epoch": 1, "members": [{"id":"a","url":"http://x/api"}]}`,
-		"not_json":   `epoch: 1`,
-	}
-	for name, doc := range bad {
+	for name, doc := range badMembershipDocs {
 		if _, err := ParseMembership([]byte(doc)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// goodMembershipDoc and badMembershipDocs are the membership parser's
+// unit-test table, shared with its fuzz target as seeds.
+const goodMembershipDoc = `{"epoch": 3, "members": [
+		{"id": "a", "url": "http://replica-a/"},
+		{"id": "b", "url": "http://replica-b"}]}`
+
+var badMembershipDocs = map[string]string{
+	"no_members": `{"epoch": 1, "members": []}`,
+	"no_id":      `{"epoch": 1, "members": [{"url": "http://x"}]}`,
+	"dup_id":     `{"epoch": 1, "members": [{"id":"a","url":"http://x"},{"id":"a","url":"http://y"}]}`,
+	"dup_url":    `{"epoch": 1, "members": [{"id":"a","url":"http://x"},{"id":"b","url":"http://x"}]}`,
+	"bad_scheme": `{"epoch": 1, "members": [{"id":"a","url":"ftp://x"}]}`,
+	"url_path":   `{"epoch": 1, "members": [{"id":"a","url":"http://x/api"}]}`,
+	"not_json":   `epoch: 1`,
+}
+
+// FuzzParseMembership: a document ParseMembership accepts re-validates,
+// and survives a JSON round trip unchanged.
+func FuzzParseMembership(f *testing.F) {
+	f.Add([]byte(goodMembershipDoc))
+	for _, doc := range badMembershipDocs {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		m, err := ParseMembership(doc)
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("accepted document fails Validate: %v", err)
+		}
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseMembership(b)
+		if err != nil || !reflect.DeepEqual(again, m) {
+			t.Fatalf("round trip: %+v, %v; want %+v", again, err, m)
+		}
+	})
 }
 
 func TestMembershipEqual(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/url"
 	"sort"
@@ -26,9 +27,9 @@ import (
 
 // Replicated serving (DESIGN.md §16). A fleet of lvf2d replicas shards
 // the fitted-model cache with a consistent-hash ring over the full arc
-// coordinate: every replica builds the same ring from the same static
-// -peers list, so all of them agree on which replica owns which key
-// without coordination traffic. A request landing on a non-owner
+// coordinate: every replica builds the same ring from the same
+// membership document, so all of them agree on which replica owns which
+// key without coordination traffic. A request landing on a non-owner
 // forwards to the owner (per-peer deadline, capped jittered retry,
 // per-peer circuit breaker); when the owner is unreachable the replica
 // computes the answer locally instead. The fitters are deterministic,
@@ -61,6 +62,10 @@ const (
 	forwardOutcomeFallback  = "local-fallback"
 )
 
+// peerJSONCap is the read cap of a peer's small JSON answers: probe
+// bodies, membership documents, digests and ingest replies.
+const peerJSONCap = 1 << 20
+
 // Peer identifies one remote replica. The JSON tags are the membership
 // document's wire format.
 type Peer struct {
@@ -68,97 +73,25 @@ type Peer struct {
 	URL string `json:"url"` // base URL, e.g. http://replica-b:8080
 }
 
-// PeerConfigError reports an invalid -peers / -peer-id configuration
-// entry. It is typed so cmd/lvf2d can reject bad fleets before listen.
-type PeerConfigError struct {
-	Entry  string
-	Reason string
-}
-
-func (e *PeerConfigError) Error() string {
-	return fmt.Sprintf("peer config %q: %s", e.Entry, e.Reason)
-}
-
-// ParsePeers parses repeated -peers values. Each value holds one or
-// more comma-separated id=url entries; URLs must be absolute http(s)
-// with no path, query or fragment (forwarding appends request URIs).
-func ParsePeers(specs []string) ([]Peer, error) {
-	var peers []Peer
-	for _, spec := range specs {
-		for _, entry := range strings.Split(spec, ",") {
-			entry = strings.TrimSpace(entry)
-			if entry == "" {
-				continue
-			}
-			id, rawURL, ok := strings.Cut(entry, "=")
-			if !ok || id == "" {
-				return nil, &PeerConfigError{Entry: entry, Reason: "want id=url"}
-			}
-			u, err := url.Parse(rawURL)
-			if err != nil {
-				return nil, &PeerConfigError{Entry: entry, Reason: fmt.Sprintf("bad URL: %v", err)}
-			}
-			if u.Scheme != "http" && u.Scheme != "https" {
-				return nil, &PeerConfigError{Entry: entry, Reason: fmt.Sprintf("unsupported scheme %q (want http or https)", u.Scheme)}
-			}
-			if u.Host == "" {
-				return nil, &PeerConfigError{Entry: entry, Reason: "missing host"}
-			}
-			if (u.Path != "" && u.Path != "/") || u.RawQuery != "" || u.Fragment != "" {
-				return nil, &PeerConfigError{Entry: entry, Reason: "URL must be a bare base (no path, query or fragment)"}
-			}
-			peers = append(peers, Peer{ID: id, URL: strings.TrimSuffix(rawURL, "/")})
-		}
-	}
-	return peers, nil
-}
-
-// ValidatePeerFleet vets a (self, peers) fleet: peers require an
-// identity, self must not appear in its own peer list, and IDs and URLs
-// must be unique. Returns a *PeerConfigError on the first violation.
-func ValidatePeerFleet(selfID string, peers []Peer) error {
-	if len(peers) == 0 {
-		return nil
-	}
-	if selfID == "" {
-		return &PeerConfigError{Entry: "-peer-id", Reason: "required when -peers is set"}
-	}
-	ids := map[string]bool{selfID: true}
-	urls := map[string]bool{}
-	for _, p := range peers {
-		if p.ID == selfID {
-			return &PeerConfigError{Entry: p.ID, Reason: "a replica must not list itself as a peer"}
-		}
-		if ids[p.ID] {
-			return &PeerConfigError{Entry: p.ID, Reason: "duplicate peer ID"}
-		}
-		if urls[p.URL] {
-			return &PeerConfigError{Entry: p.URL, Reason: "duplicate peer URL"}
-		}
-		ids[p.ID], urls[p.URL] = true, true
-	}
-	return nil
-}
-
 // ReplicationOptions configures the sharded-serving layer. The zero
 // value (no peers) disables it: the server behaves exactly like a
 // standalone lvf2d.
 type ReplicationOptions struct {
-	// SelfID is this replica's identity on the ring. Required when
-	// Peers is non-empty.
+	// SelfID is this replica's identity on the ring. Required in a
+	// fleet.
 	SelfID string
 	// SelfURL is this replica's own base URL as peers reach it. It is
 	// embedded in membership documents so joins and drains can be
 	// announced; optional for a static fleet that never reconfigures.
 	SelfURL string
-	// Peers is the boot-time remote-replica list. The initial ring
-	// members are SelfID plus every peer ID at epoch 0; membership may
-	// change afterwards (see Membership and /v1/fleet/membership).
+	// Peers is shorthand for the epoch-0 membership document of
+	// {SelfID, SelfURL} plus these peers; membership may change
+	// afterwards (see Membership and /v1/fleet/membership).
 	Peers []Peer
 	// Membership, when non-nil, is the boot-time membership document
 	// and overrides Peers: the ring members are the document's members
-	// at its epoch, and SelfID must still be set. cmd/lvf2d loads it
-	// from -membership.
+	// at its epoch. cmd/lvf2d builds it from -peers or loads it from
+	// -membership.
 	Membership *Membership
 	// MembershipPath, when non-empty, enables the config-watch seam:
 	// the file is polled (mtime, then SHA-256) and a strictly newer
@@ -283,33 +216,25 @@ func (p *replication) epoch() uint64 {
 }
 
 // newReplication builds the sharding state, or nil when cfg carries no
-// fleet. An invalid fleet (duplicate IDs etc.) disables replication and
-// logs the reason rather than failing New — cmd/lvf2d validates the
-// same fleet up front and exits 2, so this path only triggers for
-// programmatic misconfiguration.
+// fleet. Peers is shorthand for the epoch-0 document of self plus the
+// peers. An invalid document disables replication and logs the reason
+// rather than failing New — cmd/lvf2d validates the same document up
+// front and exits 2, so this path only triggers for programmatic
+// misconfiguration.
 func newReplication(cfg Config) *replication {
 	o := cfg.Replication
 	if len(o.Peers) == 0 && o.Membership == nil {
 		return nil
 	}
-	var boot Membership
+	boot := Membership{Members: append([]Peer{{ID: o.SelfID, URL: o.SelfURL}}, o.Peers...)}
 	if o.Membership != nil {
 		boot = *o.Membership
-		if o.SelfID == "" {
-			cfg.Logger.Error("lvf2d: replication disabled", "reason", "SelfID required with a membership document")
-			return nil
-		}
-	} else {
-		if err := ValidatePeerFleet(o.SelfID, o.Peers); err != nil {
-			cfg.Logger.Error("lvf2d: replication disabled", "reason", err.Error())
-			return nil
-		}
-		boot = Membership{
-			Epoch:   0,
-			Members: append([]Peer{{ID: o.SelfID, URL: o.SelfURL}}, o.Peers...),
-		}
 	}
-	if err := boot.Validate(); err != nil {
+	err := boot.Validate()
+	if err == nil && o.SelfID == "" {
+		err = fmt.Errorf("SelfID is required")
+	}
+	if err != nil {
 		cfg.Logger.Error("lvf2d: replication disabled", "reason", err.Error())
 		return nil
 	}
@@ -447,6 +372,61 @@ func (p *replication) retryDelay(attempt int) time.Duration {
 	return d + time.Duration(j*0.5*float64(d))
 }
 
+// retry runs try up to ForwardAttempts times, sleeping the jittered
+// backoff between tries, until one succeeds or ctx ends. It returns nil,
+// the last try's error, or ctx's error when ctx ends during a backoff —
+// so a client that went away reaches the peer breaker as cancellation.
+func (p *replication) retry(ctx context.Context, try func(attempt int) error) error {
+	var err error
+	for attempt := 0; attempt < p.opts.ForwardAttempts; attempt++ {
+		if attempt > 0 {
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(p.retryDelay(attempt)):
+			}
+		}
+		if err = try(attempt); err == nil || ctx.Err() != nil {
+			return err
+		}
+	}
+	return err
+}
+
+// call is the one request a replica makes to a peer: it runs under the
+// per-attempt ForwardTimeout, sets the header name/value pairs, and
+// reads at most limit bytes of the answer (its caller's cap). An answer
+// that declares more than limit bytes is refused unread. The returned
+// response's body is closed.
+func (p *replication) call(ctx context.Context, method, url string, body []byte, limit int64, header ...string) (*http.Response, []byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, p.opts.ForwardTimeout)
+	defer cancel()
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
+	resp, err := p.opts.Client.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	if resp.ContentLength > limit {
+		return nil, nil, fmt.Errorf("peer answer declares %d bytes, cap is %d", resp.ContentLength, limit)
+	}
+	b, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	if err != nil {
+		return nil, nil, err
+	}
+	return resp, b, nil
+}
+
 // maybeForward routes a resolved arc query to its ring owner. It
 // returns true when the response has been fully written (a successful
 // forward). Returning false means the caller must answer locally —
@@ -513,70 +493,43 @@ func (p *replication) forward(w http.ResponseWriter, r *http.Request, peer Peer)
 		p.reqs.Inc(owner, "breaker_open")
 		return false
 	}
-	var lastErr error = fmt.Errorf("no forward attempts")
-	for attempt := 0; attempt < p.opts.ForwardAttempts; attempt++ {
+	var resp *http.Response
+	var body []byte
+	err := p.retry(r.Context(), func(attempt int) error {
 		if attempt > 0 {
 			p.reqs.Inc(owner, "retry")
-			select {
-			case <-r.Context().Done():
-				p.breakers.done(owner, probe, r.Context().Err())
-				return false
-			case <-time.After(p.retryDelay(attempt)):
-			}
 		}
-		status, header, body, err := p.forwardOnce(r, peer)
-		if err == nil {
-			p.breakers.done(owner, probe, nil)
-			p.reqs.Inc(owner, "ok")
-			relayResponse(w, status, header, body, owner)
-			p.noteEpochHeader(header.Get(ringEpochHeader), peer)
-			return true
+		start := time.Now()
+		var err error
+		// A forwarded answer has no read cap: it is the client's own
+		// query, answered by the owner.
+		resp, body, err = p.call(r.Context(), http.MethodGet, peer.URL+r.URL.RequestURI(), nil, math.MaxInt64,
+			forwardedFromHeader, p.self, ringEpochHeader, strconv.FormatUint(p.epoch(), 10))
+		if err != nil {
+			return err
 		}
-		lastErr = err
-		if r.Context().Err() != nil {
-			break
+		// Only verified 200s relay. Anything else (the owner shedding,
+		// degraded handling of our own bug, a proxy error page) answers
+		// better from the local compute path, and a corrupted or
+		// truncated body is retried instead of reaching the client.
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("owner %s answered %d", owner, resp.StatusCode)
 		}
-	}
-	p.breakers.done(owner, probe, lastErr)
-	return false
-}
-
-// forwardOnce issues one forwarded request under the per-peer deadline
-// and verifies the owner's body checksum, so a corrupted or truncated
-// peer response surfaces as a retryable error instead of reaching the
-// client.
-func (p *replication) forwardOnce(r *http.Request, peer Peer) (int, http.Header, []byte, error) {
-	ctx, cancel := context.WithTimeout(r.Context(), p.opts.ForwardTimeout)
-	defer cancel()
-	u := peer.URL + r.URL.RequestURI()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+		sum := sha256.Sum256(body)
+		if got := resp.Header.Get(bodySumHeader); got != hex.EncodeToString(sum[:]) {
+			return fmt.Errorf("owner %s body checksum mismatch (len %d)", owner, len(body))
+		}
+		p.forwardSeconds.Observe(time.Since(start).Seconds())
+		return nil
+	})
+	p.breakers.done(owner, probe, err)
 	if err != nil {
-		return 0, nil, nil, err
+		return false
 	}
-	req.Header.Set(forwardedFromHeader, p.self)
-	req.Header.Set(ringEpochHeader, strconv.FormatUint(p.epoch(), 10))
-	start := time.Now()
-	resp, err := p.opts.Client.Do(req)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	// Only verified 200s relay. Anything else (the owner shedding,
-	// degraded handling of our own bug, a proxy error page) answers
-	// better from the local compute path.
-	if resp.StatusCode != http.StatusOK {
-		return 0, nil, nil, fmt.Errorf("owner %s answered %d", peer.ID, resp.StatusCode)
-	}
-	sum := sha256.Sum256(body)
-	if got := resp.Header.Get(bodySumHeader); got != hex.EncodeToString(sum[:]) {
-		return 0, nil, nil, fmt.Errorf("owner %s body checksum mismatch (len %d)", peer.ID, len(body))
-	}
-	p.forwardSeconds.Observe(time.Since(start).Seconds())
-	return resp.StatusCode, resp.Header, body, nil
+	p.reqs.Inc(owner, "ok")
+	relayResponse(w, resp.StatusCode, resp.Header, body, owner)
+	p.noteEpochHeader(resp.Header.Get(ringEpochHeader), peer)
+	return true
 }
 
 // noteEpochHeader reacts to a peer's advertised membership epoch after
@@ -681,22 +634,14 @@ func (b *bufferedResponse) Write(p []byte) (int, error) {
 // POST ingests a snapshot slice pushed by a peer — the key-handoff leg
 // of a graceful drain — and merges it into the model cache.
 func (s *Server) handlePeerSnapshot(w http.ResponseWriter, r *http.Request) {
-	p := s.repl
-	if p == nil {
-		fail(w, r, &httpError{code: http.StatusNotFound, msg: "replication is not configured"})
-		return
-	}
 	if r.Method == http.MethodPost {
 		s.handlePeerSnapshotIngest(w, r)
 		return
 	}
+	p := s.repl
 	v := p.view()
 	owner := r.URL.Query().Get("owner")
-	member := false
-	for _, m := range v.ring.Members() {
-		member = member || m == owner
-	}
-	if owner == "" || !member {
+	if !v.membership.Has(owner) {
 		fail(w, r, badRequest("owner %q is not a ring member (members: %s)",
 			owner, strings.Join(v.ring.Members(), ", ")))
 		return
@@ -782,65 +727,31 @@ func (s *Server) WarmSeedFromPeers(ctx context.Context) int {
 func (p *replication) fetchSnapshotSlice(ctx context.Context, peer Peer) ([]byte, error) {
 	u := peer.URL + "/v1/peer/snapshot?owner=" + url.QueryEscape(p.self) +
 		"&max_bytes=" + strconv.FormatInt(p.opts.SnapshotMaxBytes, 10)
-	var lastErr error
-	for attempt := 0; attempt < p.opts.ForwardAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(p.retryDelay(attempt)):
-			}
+	var slice []byte
+	err := p.retry(ctx, func(int) error {
+		// Reading one byte past the cap tells a body at the cap from an
+		// oversize one: a huge (or lying) donor can never balloon a
+		// booting peer's heap past the configured cap.
+		cap := p.opts.SnapshotMaxBytes
+		resp, body, err := p.call(ctx, http.MethodGet, u, nil, cap+1)
+		switch {
+		case err != nil:
+			return err
+		case int64(len(body)) > cap:
+			return fmt.Errorf("peer snapshot exceeds %d-byte cap", cap)
+		case resp.StatusCode != http.StatusOK:
+			return fmt.Errorf("peer answered %d", resp.StatusCode)
 		}
-		slice, err := p.fetchSnapshotOnce(ctx, u)
-		if err == nil {
-			return slice, nil
+		// Validate before accepting so a corrupted body retries here
+		// rather than surfacing from RestoreModels after the retry budget
+		// is gone.
+		if _, err := modelcache.DecodeSnapshot(body); err != nil {
+			return err
 		}
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return nil, lastErr
-}
-
-func (p *replication) fetchSnapshotOnce(ctx context.Context, u string) ([]byte, error) {
-	rctx, cancel := context.WithTimeout(ctx, p.opts.ForwardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := p.opts.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	// Guard the read before it happens: a declared oversize body is
-	// rejected on the Content-Length alone, and an undeclared one is cut
-	// off by the LimitReader — a huge (or lying) donor can never balloon
-	// a booting peer's heap past the configured cap.
-	cap := p.opts.SnapshotMaxBytes
-	if resp.ContentLength > cap {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1))
-		resp.Body.Close()
-		return nil, fmt.Errorf("peer snapshot declares %d bytes, cap is %d", resp.ContentLength, cap)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, cap+1))
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(body)) > cap {
-		return nil, fmt.Errorf("peer snapshot exceeds %d-byte cap", cap)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("peer answered %d", resp.StatusCode)
-	}
-	// Validate before accepting so a corrupted body retries here rather
-	// than surfacing from RestoreModels after the retry budget is gone.
-	if _, err := modelcache.DecodeSnapshot(body); err != nil {
-		return nil, err
-	}
-	return body, nil
+		slice = body
+		return nil
+	})
+	return slice, err
 }
 
 // ProbePeersOnce probes every peer's /readyz once, updating the
@@ -873,18 +784,7 @@ func (s *Server) ProbePeersOnce(ctx context.Context) {
 // membership epoch the peer advertises. A warming or draining peer
 // answers non-200 — not forwardable — but its epoch still counts.
 func (p *replication) probeOne(ctx context.Context, peer Peer) (bool, uint64) {
-	rctx, cancel := context.WithTimeout(ctx, p.opts.ForwardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, peer.URL+"/readyz", nil)
-	if err != nil {
-		return false, 0
-	}
-	resp, err := p.opts.Client.Do(req)
-	if err != nil {
-		return false, 0
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
+	resp, body, err := p.call(ctx, http.MethodGet, peer.URL+"/readyz", nil, peerJSONCap)
 	if err != nil {
 		return false, 0
 	}

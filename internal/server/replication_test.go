@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -10,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -231,74 +231,6 @@ func replGridURLs() []string {
 		}
 	}
 	return urls
-}
-
-// --------------------------------------------------------- config parsing
-
-func TestParsePeers(t *testing.T) {
-	peers, err := ParsePeers([]string{"b=http://replica-b:8080", "c=http://replica-c:8080,d=https://replica-d"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Peer{
-		{ID: "b", URL: "http://replica-b:8080"},
-		{ID: "c", URL: "http://replica-c:8080"},
-		{ID: "d", URL: "https://replica-d"},
-	}
-	if len(peers) != len(want) {
-		t.Fatalf("got %d peers, want %d", len(peers), len(want))
-	}
-	for i := range want {
-		if peers[i] != want[i] {
-			t.Fatalf("peer %d = %+v, want %+v", i, peers[i], want[i])
-		}
-	}
-
-	bad := []string{
-		"http://no-id",            // missing id=
-		"=http://empty-id",        // empty id
-		"b=ftp://replica-b",       // bad scheme
-		"b=http://",               // no host
-		"b=http://replica-b/path", // path not allowed
-		"b=http://replica-b?x=1",  // query not allowed
-		"b=http://replica-b#frag", // fragment not allowed
-		"b=://replica-b",          // unparsable
-	}
-	for _, spec := range bad {
-		_, err := ParsePeers([]string{spec})
-		var pce *PeerConfigError
-		if !errors.As(err, &pce) {
-			t.Errorf("ParsePeers(%q) err = %v, want *PeerConfigError", spec, err)
-		}
-	}
-}
-
-func TestValidatePeerFleet(t *testing.T) {
-	ok := []Peer{{ID: "b", URL: "http://b"}, {ID: "c", URL: "http://c"}}
-	if err := ValidatePeerFleet("a", ok); err != nil {
-		t.Fatalf("valid fleet rejected: %v", err)
-	}
-	if err := ValidatePeerFleet("", nil); err != nil {
-		t.Fatalf("standalone (no peers) rejected: %v", err)
-	}
-	cases := map[string]struct {
-		self  string
-		peers []Peer
-	}{
-		"missing_self":  {"", ok},
-		"self_in_peers": {"b", ok},
-		"dup_id":        {"a", []Peer{{ID: "b", URL: "http://b"}, {ID: "b", URL: "http://b2"}}},
-		"dup_url":       {"a", []Peer{{ID: "b", URL: "http://b"}, {ID: "c", URL: "http://b"}}},
-	}
-	for name, tc := range cases {
-		t.Run(name, func(t *testing.T) {
-			err := ValidatePeerFleet(tc.self, tc.peers)
-			var pce *PeerConfigError
-			if !errors.As(err, &pce) {
-				t.Fatalf("err = %v, want *PeerConfigError", err)
-			}
-		})
-	}
 }
 
 // ------------------------------------------------------------- forwarding
@@ -678,5 +610,88 @@ func TestReadyzStandaloneBody(t *testing.T) {
 	resp := decode[readyzResponse](t, body)
 	if resp.Ring != nil || len(resp.Peers) != 0 {
 		t.Fatalf("standalone readyz carries replication state: %s", body)
+	}
+}
+
+// ------------------------------------------------------ malformed queries
+
+// malformedArcParams lists (endpoint, parameter) pairs that make any arc
+// query malformed: every numeric parameter × NaN/±Inf, an out-of-range
+// n, a bad points value and a short prices list. Put first in the query
+// string, the parameter wins over a later one of the same name.
+func malformedArcParams() [][2]string {
+	var ps [][2]string
+	for _, bad := range []string{"NaN", "Inf", "-Inf"} {
+		for _, ep := range []string{"/v1/arc/cdf", "/v1/arc/binning", "/v1/yield"} {
+			ps = append(ps, [2]string{ep, "slew=" + bad}, [2]string{ep, "load=" + bad})
+		}
+		ps = append(ps,
+			[2]string{"/v1/arc/cdf", "points=0.1," + bad},
+			[2]string{"/v1/arc/binning", "prices=0,1,2,3,4,5,6," + bad},
+			[2]string{"/v1/yield", "sigma=" + bad},
+			[2]string{"/v1/yield", "clock=" + bad},
+			[2]string{"/v1/yield", "estimator=mc&ci=" + bad},
+		)
+	}
+	return append(ps,
+		[2]string{"/v1/arc/cdf", "n=1"},
+		[2]string{"/v1/arc/cdf", "points=0.1,x"},
+		[2]string{"/v1/arc/binning", "prices=1,2"},
+	)
+}
+
+// roundTripCounter counts the requests a replica sends to its peers.
+type roundTripCounter struct {
+	next  http.RoundTripper
+	trips atomic.Int64
+}
+
+func (c *roundTripCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.trips.Add(1)
+	return c.next.RoundTrip(req)
+}
+
+// TestMalformedQueryNeverForwarded: a query the owner would refuse is
+// refused by the replica it lands on, before it resolves or forwards. It
+// costs no peer round trip and no strike against the owner's breaker, so
+// the next valid query still forwards.
+func TestMalformedQueryNeverForwarded(t *testing.T) {
+	ft := newFleetTransport()
+	counter := &roundTripCounter{next: ft}
+	f := newTestFleet(t, []string{"a", "b"}, ft, counter, nil)
+	a := f.server("a")
+	// Distinct cold b-owned keys (cdf URLs only: a cdf and a binning URL
+	// with the same parameters share a key).
+	var bases []string
+	for _, u := range replGridURLs() {
+		if strings.HasPrefix(u, "/v1/arc/cdf") && ownerOf(t, a, u) == "b" {
+			_, q, _ := strings.Cut(u, "?")
+			bases = append(bases, q)
+		}
+	}
+	if len(bases) < 4 {
+		t.Fatalf("grid only has %d b-owned keys", len(bases))
+	}
+	for i, p := range malformedArcParams() {
+		u := p[0] + "?" + p[1] + "&" + bases[i%(len(bases)-1)]
+		rec, body := get(t, a.Handler(), u)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s = %d, want 400: %s", u, rec.Code, body)
+		}
+		if got := rec.Header().Get(forwardHeader); got != "" {
+			t.Errorf("%s: %s = %q, want none", u, forwardHeader, got)
+		}
+	}
+	if n := counter.trips.Load(); n != 0 {
+		t.Errorf("malformed queries cost %d peer round trips, want 0", n)
+	}
+	if st := a.repl.breakers.stateOf("b"); st != breakerClosed {
+		t.Errorf("peer breaker after malformed queries = %v, want closed", st)
+	}
+	u := "/v1/arc/cdf?" + bases[len(bases)-1]
+	rec, body := get(t, a.Handler(), u)
+	if rec.Code != http.StatusOK || rec.Header().Get(forwardHeader) != forwardOutcomeForwarded {
+		t.Fatalf("next valid b-owned query: code %d %s=%q, want forwarded 200: %s",
+			rec.Code, forwardHeader, rec.Header().Get(forwardHeader), body)
 	}
 }

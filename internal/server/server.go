@@ -83,8 +83,8 @@ type Config struct {
 	// Breaker tunes the per-(library,cell) fit circuit breaker.
 	Breaker BreakerOptions
 	// Replication configures consistent-hash sharded serving across a
-	// static replica fleet (see DESIGN.md §16). The zero value (no
-	// peers) serves standalone.
+	// replica fleet (see DESIGN.md §16–17). The zero value (no peers)
+	// serves standalone.
 	Replication ReplicationOptions
 	// Logger receives startup/snapshot/degradation events (default
 	// slog.Default()).
@@ -375,20 +375,21 @@ func (s *Server) Handler() http.Handler {
 	api("/v1/ssta", s.handleSSTA)
 	api("/v1/libraries", s.handleLibraries)
 	if s.repl != nil {
-		// Peer-only surface: the snapshot export bypasses the limiter
-		// (its payload carries its own checksum; a restarting peer must
-		// be able to warm-seed from a replica that is busy serving).
-		mux.Handle("/v1/peer/snapshot", s.metrics.Wrap("/v1/peer/snapshot",
-			obs.Recover(s.metrics.Panics, http.HandlerFunc(s.handlePeerSnapshot))))
-		mux.Handle("/v1/peer/digest", s.metrics.Wrap("/v1/peer/digest",
-			obs.Recover(s.metrics.Panics, http.HandlerFunc(s.handlePeerDigest))))
-		// Fleet admin surface: membership CAS and graceful drain also
-		// bypass the limiter — reconfiguration must work on a saturated
-		// fleet.
-		mux.Handle("/v1/fleet/membership", s.metrics.Wrap("/v1/fleet/membership",
-			obs.Recover(s.metrics.Panics, http.HandlerFunc(s.handleFleetMembership))))
-		mux.Handle("/v1/fleet/drain", s.metrics.Wrap("/v1/fleet/drain",
-			obs.Recover(s.metrics.Panics, http.HandlerFunc(s.handleFleetDrain))))
+		// The peer and fleet-admin surface bypasses the limiter: a
+		// restarting peer must be able to warm-seed from a replica that
+		// is busy serving (snapshots carry their own checksum), and
+		// reconfiguration must work on a saturated fleet.
+		for _, rt := range []struct {
+			route string
+			h     http.HandlerFunc
+		}{
+			{"/v1/peer/snapshot", s.handlePeerSnapshot},
+			{"/v1/peer/digest", s.handlePeerDigest},
+			{"/v1/fleet/membership", s.handleFleetMembership},
+			{"/v1/fleet/drain", s.handleFleetDrain},
+		} {
+			mux.Handle(rt.route, s.metrics.Wrap(rt.route, obs.Recover(s.metrics.Panics, rt.h)))
+		}
 	}
 
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"net/url"
-	"strconv"
 	"strings"
 
 	"lvf2/internal/cells"
@@ -60,31 +59,24 @@ func (yp *yieldParams) validate() error {
 }
 
 // parseYieldParams decodes the GET query surface.
-func parseYieldParams(q url.Values) (yieldParams, error) {
-	var yp yieldParams
+func parseYieldParams(q url.Values) (yp yieldParams, err error) {
 	if v := q.Get("sigma"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return yp, badRequest("bad sigma %q", v)
+		if yp.sigma, err = parseFinite("sigma", v); err != nil {
+			return yp, err
 		}
-		yp.sigma, yp.hasSigma = f, true
+		yp.hasSigma = true
 	}
 	if v := q.Get("clock"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return yp, badRequest("bad clock %q", v)
+		if yp.clock, err = parseFinite("clock", v); err != nil {
+			return yp, err
 		}
-		yp.clock, yp.hasClock = f, true
+		yp.hasClock = true
 	}
-	if v := q.Get("estimator"); v != "" {
-		yp.estimator = v
-	}
+	yp.estimator = q.Get("estimator")
 	if v := q.Get("ci"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return yp, badRequest("bad ci %q", v)
+		if yp.ci, err = parseFinite("ci", v); err != nil {
+			return yp, err
 		}
-		yp.ci = f
 	}
 	return yp, yp.validate()
 }
