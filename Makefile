@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check chaos chaos-ckpt chaos-dist chaos-replica chaos-churn fuzz bench bench-tables bench-server bench-charwork bench-charlib bench-yield bench-smoke allocbudget determinism clean
+.PHONY: all build test vet race check chaos fuzz bench bench-tables bench-server bench-charwork bench-charlib bench-yield bench-smoke allocbudget determinism clean
 
 all: build
 
@@ -42,66 +42,30 @@ determinism:
 	$(GO) test -race -cpu 1,4,8 -run 'TestBuildWarmDeterminismAcrossWorkers' -count 1 -timeout 15m ./internal/libbuild/
 	$(GO) test -race -cpu 1,2,4,8 -run 'TestYieldEstimatorDeterminism|TestYieldBitIdenticalToSerial' -count 1 -timeout 15m ./internal/yield/
 
-# Crash-safety chaos suite: randomized seeded fault scripts (disk faults,
-# fit outages, snapshot corruption, kill-and-restart) against lvf2d under
-# the race detector. A failing script is written to CHAOS_ARTIFACT_DIR as
-# chaos-failure-seed-<seed>.json; replay it with -chaos.seed=<seed>.
+# The seeded chaos suites under the race detector, one package at a time:
+#   TestChaosServing            lvf2d under disk faults, fit outages,
+#                               snapshot rot and kill/restart: never a
+#                               500 or a torn body.
+#   TestChaosReplicatedServing  a 3-replica fleet over faulty peer links
+#   TestChaosFleetChurn         and through joins, drains, crash-leaves
+#                               and restarts: every answer a 200 that is
+#                               bit-identical to a single-process oracle.
+#   TestChaosCheckpointResume   a killed, torn or rotted build journal,
+#   TestChaosDistributedBuild   and a worker fleet with coordinator
+#                               restarts: a .lib bit-identical to an
+#                               uninterrupted single-process build.
+# CHAOS_RUN (a go test -run pattern) picks suites, CHAOS_SEEDS sets the
+# seeds per suite. A failing seed writes its steps, logs and journal
+# segments to CHAOS_ARTIFACT_DIR/<Test>/seed-<N>/ and prints its replay
+# command: go test -race -run '^<Test>$' ./<pkg> -chaos.seed=<N>.
 CHAOS_SEEDS ?= 8
+CHAOS_RUN ?= TestChaos
 CHAOS_ARTIFACT_DIR ?= $(CURDIR)/chaos-artifacts
 
 chaos:
 	CHAOS_ARTIFACT_DIR=$(CHAOS_ARTIFACT_DIR) \
-		$(GO) test -race -run TestChaosServing -count 1 -timeout 15m \
-		./internal/server/ -chaos.seeds $(CHAOS_SEEDS)
-
-# Kill-and-resume chaos suite for the checkpointed characterisation
-# pipeline: seeded scripts kill a library build mid-run, optionally tear
-# or rot the journal, and assert the resumed build is bit-identical to
-# an uninterrupted one. A failing script plus the journal segments it
-# resumed from land in CHAOS_ARTIFACT_DIR; replay with -ckptchaos.seed.
-chaos-ckpt:
-	CHAOS_ARTIFACT_DIR=$(CHAOS_ARTIFACT_DIR) \
-		$(GO) test -race -run TestChaosCheckpointResume -count 1 -timeout 15m \
-		./internal/libbuild/ -ckptchaos.seeds $(CHAOS_SEEDS)
-
-# Distributed characterisation chaos suite: seeded schedules kill workers
-# and crash-restart the coordinator while every HTTP exchange runs through
-# a seeded fault transport (request errors, dropped responses, corrupt and
-# truncated bodies, stalls). Asserts the drained journal assembles a .lib
-# bit-identical to a single-process build and that no unit is journaled
-# terminal twice. Failing scripts, logs and journal segments land in
-# CHAOS_ARTIFACT_DIR; replay with -distchaos.seed=<seed>.
-chaos-dist:
-	CHAOS_ARTIFACT_DIR=$(CHAOS_ARTIFACT_DIR) \
-		$(GO) test -race -run TestChaosDistributedBuild -count 1 -timeout 15m \
-		./internal/dist/ -distchaos.seeds $(CHAOS_SEEDS)
-
-# Replicated-serving chaos suite: seeded scripts drive a three-replica
-# in-process lvf2d fleet through peer-link faults (refused connections,
-# dropped/corrupt/truncated responses, stalls, asymmetric partitions)
-# plus kill-and-restart, asserting every client response is a 200
-# bit-identical to a single-process oracle and that a restarted replica
-# warm-seeds ≥90% of its owned keys from its peers. Failing scripts land
-# in CHAOS_ARTIFACT_DIR as replchaos-failure-seed-<seed>.json; replay
-# with -replchaos.seed=<seed>.
-chaos-replica:
-	CHAOS_ARTIFACT_DIR=$(CHAOS_ARTIFACT_DIR) \
-		$(GO) test -race -run TestChaosReplicatedServing -count 1 -timeout 15m \
-		./internal/server/ -replchaos.seeds $(CHAOS_SEEDS)
-
-# Fleet-churn chaos suite: seeded scripts reshape a live lvf2d fleet —
-# graceful joins, graceful drains with key handoff, crash-leaves with an
-# operator epoch bump, kill-and-restart — while client traffic flows over
-# faulty peer links. Asserts every response across every epoch is a 200
-# bit-identical to a single-process oracle, that every live replica
-# serves ≥90% of its owned keys warm within one anti-entropy round of
-# each rebalance, and that the fleet converges on one epoch. Failing
-# scripts land in CHAOS_ARTIFACT_DIR as
-# churnchaos-failure-seed-<seed>.json; replay with -churnchaos.seed.
-chaos-churn:
-	CHAOS_ARTIFACT_DIR=$(CHAOS_ARTIFACT_DIR) \
-		$(GO) test -race -run TestChaosFleetChurn -count 1 -timeout 15m \
-		./internal/server/ -churnchaos.seeds $(CHAOS_SEEDS)
+		$(GO) test -race -p 1 -run '$(CHAOS_RUN)' -count 1 -timeout 15m \
+		./internal/server/ ./internal/libbuild/ ./internal/dist/ -chaos.seeds $(CHAOS_SEEDS)
 
 # One iteration of every benchmark in -short mode: benchmark code cannot
 # rot between perf PRs (heavy benches shrink their workload under -short;
@@ -111,7 +75,7 @@ bench-smoke:
 
 # The gate: vet + build + full suite under the race detector + perf and
 # crash-safety guards + the benchmark smoke pass.
-check: vet build race allocbudget determinism chaos chaos-ckpt chaos-dist chaos-replica chaos-churn bench-smoke
+check: vet build race allocbudget determinism chaos bench-smoke
 
 # Short fuzz pass over the Liberty/netlist parsers, the journaled
 # work-unit payload decoder, the lvf2d arc-query parse step and the

@@ -19,7 +19,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -34,26 +33,11 @@ import (
 	"lvf2/internal/yield"
 )
 
-// openJournal opens (or cold-starts) one driver's checkpoint journal.
-// A fresh (non -resume) run clears stale segments; a -resume run
-// replays them, degrading to a cold start — with the typed corruption
-// error on stderr — when the journal is unreadable or belongs to a
-// different configuration.
+// openJournal opens one experiment's checkpoint journal under the
+// command-line policy of checkpoint.OpenRun and, on -resume, reports
+// what it replayed.
 func openJournal(dir string, fp checkpoint.Fingerprint, resume bool) (*checkpoint.Journal, error) {
-	fsys := checkpoint.OSFS{}
-	if !resume {
-		if err := checkpoint.Reset(fsys, dir); err != nil {
-			return nil, fmt.Errorf("clear checkpoint dir: %w", err)
-		}
-	}
-	j, err := checkpoint.Open(fsys, dir, fp, checkpoint.Options{})
-	if errors.Is(err, checkpoint.ErrCorruptJournal) {
-		fmt.Fprintf(os.Stderr, "exptables: %v — starting cold\n", err)
-		if rerr := checkpoint.Reset(fsys, dir); rerr != nil {
-			return nil, fmt.Errorf("clear corrupt journal: %w", rerr)
-		}
-		j, err = checkpoint.Open(fsys, dir, fp, checkpoint.Options{})
-	}
+	j, err := checkpoint.OpenRun(checkpoint.OSFS{}, dir, fp, resume, os.Stderr, "exptables")
 	if err != nil {
 		return nil, err
 	}

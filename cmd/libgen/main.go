@@ -185,7 +185,7 @@ func interruptedExit(j *checkpoint.Journal, ckptDir string, sig os.Signal) {
 	j.Close()
 	sealed := 0
 	for _, rec := range j.Records() {
-		if rec.Status == checkpoint.StatusDone || rec.Status == checkpoint.StatusQuarantined {
+		if rec.Status.Terminal() {
 			sealed++
 		}
 	}
@@ -258,26 +258,10 @@ func runWorker(ctx context.Context, trap *checkpoint.SignalTrap, joinURL, id str
 	fmt.Fprintf(os.Stderr, "libgen: worker %s done: build drained\n", id)
 }
 
-// openJournal opens (or cold-starts) the checkpoint journal. A fresh
-// (non -resume) run clears any stale segments; a -resume run replays
-// them, degrading to a cold start — with the typed corruption error on
-// stderr — when the journal is unreadable or belongs to a different
-// configuration.
+// openJournal opens the checkpoint journal under the command-line policy
+// of checkpoint.OpenRun and, on -resume, reports what it replayed.
 func openJournal(dir string, fp checkpoint.Fingerprint, resume bool) *checkpoint.Journal {
-	fsys := checkpoint.OSFS{}
-	if !resume {
-		if err := checkpoint.Reset(fsys, dir); err != nil {
-			fatal(fmt.Errorf("clear checkpoint dir: %w", err))
-		}
-	}
-	j, err := checkpoint.Open(fsys, dir, fp, checkpoint.Options{})
-	if errors.Is(err, checkpoint.ErrCorruptJournal) {
-		fmt.Fprintf(os.Stderr, "libgen: %v — starting cold\n", err)
-		if rerr := checkpoint.Reset(fsys, dir); rerr != nil {
-			fatal(fmt.Errorf("clear corrupt journal: %w", rerr))
-		}
-		j, err = checkpoint.Open(fsys, dir, fp, checkpoint.Options{})
-	}
+	j, err := checkpoint.OpenRun(checkpoint.OSFS{}, dir, fp, resume, os.Stderr, "libgen")
 	if err != nil {
 		fatal(err)
 	}

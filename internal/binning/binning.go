@@ -47,34 +47,9 @@ func Probabilities(cdf func(float64) float64, b Boundaries) []float64 {
 	return probs
 }
 
-// DistProbabilities is Probabilities for a stats.Dist, using the batch
-// CDF form when the distribution provides one (the per-α Owen's-T setup
-// then runs once for the whole boundary list).
+// DistProbabilities is Probabilities for a stats.Dist.
 func DistProbabilities(d stats.Dist, b Boundaries) []float64 {
-	if bc, ok := d.(stats.BatchCDF); ok {
-		return probsFromCDF(bc.CDFs(nil, b))
-	}
 	return Probabilities(d.CDF, b)
-}
-
-// probsFromCDF converts CDF values at the boundaries to bin masses with
-// the same monotonicity guard as Probabilities.
-func probsFromCDF(cs []float64) []float64 {
-	n := len(cs)
-	probs := make([]float64, n+1)
-	prev := 0.0
-	for i, c := range cs {
-		if c < prev {
-			c = prev
-		}
-		probs[i] = c - prev
-		prev = c
-	}
-	probs[n] = 1 - prev
-	if probs[n] < 0 {
-		probs[n] = 0
-	}
-	return probs
 }
 
 // EmpiricalProbabilities bins the golden sample.
@@ -130,21 +105,6 @@ func CDFRMSE(model stats.Dist, e *stats.Empirical, maxPoints int) float64 {
 	step := 1
 	if maxPoints > 0 && n > maxPoints {
 		step = n / maxPoints
-	}
-	if bc, ok := model.(stats.BatchCDF); ok {
-		// Gather the strided order statistics and evaluate in one batch.
-		pts := make([]float64, 0, (n+step-1)/step)
-		for i := 0; i < n; i += step {
-			pts = append(pts, sorted[i])
-		}
-		cs := bc.CDFs(nil, pts)
-		var s float64
-		for j, c := range cs {
-			fe := (float64(j*step) + 0.5) / float64(n)
-			d := c - fe
-			s += d * d
-		}
-		return math.Sqrt(s / float64(len(cs)))
 	}
 	var s float64
 	var cnt int

@@ -36,24 +36,13 @@ func (c AdaptiveConfig) WithDefaults() AdaptiveConfig {
 	if c.PilotSamples <= 0 {
 		c.PilotSamples = 400
 	}
-	points := gridPoints(c.CharConfig)
 	if c.TotalBudget <= 0 {
-		c.TotalBudget = points * c.Samples
+		c.TotalBudget = len(c.CharConfig.SweepPoints()) * c.Samples
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = c.PilotSamples
 	}
 	return c
-}
-
-func gridPoints(c CharConfig) int {
-	n := 0
-	for i := 0; i < len(c.Grid.Slews); i += c.GridStride {
-		for j := 0; j < len(c.Grid.Loads); j += c.GridStride {
-			n++
-		}
-	}
-	return n
 }
 
 // bimodalityScore maps sample moments to a non-Gaussianity indicator.

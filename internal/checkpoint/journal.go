@@ -118,6 +118,10 @@ func (s Status) String() string {
 	return fmt.Sprintf("status(%d)", uint8(s))
 }
 
+// Terminal reports whether s ends a unit: Done and Quarantined units are
+// never recomputed on resume.
+func (s Status) Terminal() bool { return s == StatusDone || s == StatusQuarantined }
+
 // Record is one journaled unit outcome.
 type Record struct {
 	Key      Key
@@ -284,7 +288,7 @@ func Open(fsys FS, dir string, fp Fingerprint, opts Options) (*Journal, error) {
 		j.seq = n + 1
 	}
 	for _, rec := range j.state {
-		if rec.Status == StatusDone || rec.Status == StatusQuarantined {
+		if rec.Status.Terminal() {
 			j.stats.Resolved++
 		}
 	}
@@ -348,6 +352,28 @@ func ReplayRecords(fsys FS, dir string, fp Fingerprint) ([]Record, error) {
 	return out, nil
 }
 
+// OpenRun opens the journal of one command-line run: a fresh run
+// (resume false) resets dir first, a resumed run replays it. A journal
+// that fails with ErrCorruptJournal, a config change included, is
+// reported on warn as "<prog>: <error> — starting cold", reset, and
+// reopened empty.
+func OpenRun(fsys FS, dir string, fp Fingerprint, resume bool, warn io.Writer, prog string) (*Journal, error) {
+	if !resume {
+		if err := Reset(fsys, dir); err != nil {
+			return nil, fmt.Errorf("clear checkpoint dir: %w", err)
+		}
+	}
+	j, err := Open(fsys, dir, fp, Options{})
+	if errors.Is(err, ErrCorruptJournal) {
+		fmt.Fprintf(warn, "%s: %v — starting cold\n", prog, err)
+		if rerr := Reset(fsys, dir); rerr != nil {
+			return nil, fmt.Errorf("clear corrupt journal: %w", rerr)
+		}
+		j, err = Open(fsys, dir, fp, Options{})
+	}
+	return j, err
+}
+
 // Reset removes every sealed segment in dir, so the next Open starts
 // cold. Used after ErrCorruptJournal and by the CLIs' fresh (non
 // -resume) runs.
@@ -378,6 +404,12 @@ func (j *Journal) Lookup(k Key) (Record, bool) {
 	defer j.mu.Unlock()
 	rec, ok := j.state[k]
 	return rec, ok
+}
+
+// Terminal reports whether unit k is journaled with a terminal status.
+func (j *Journal) Terminal(k Key) bool {
+	rec, ok := j.Lookup(k)
+	return ok && rec.Status.Terminal()
 }
 
 // Records returns a snapshot of every journaled record (sealed and

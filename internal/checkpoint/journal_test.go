@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lvf2/internal/faultinject"
@@ -218,6 +219,64 @@ func TestJournalReset(t *testing.T) {
 	}
 	if err := Reset(fsys, "no-such-dir"); err != nil {
 		t.Errorf("Reset on missing dir: %v", err)
+	}
+}
+
+// TestOpenRun pins the command-line journal policy: a fresh run starts
+// cold, a resumed run replays, and a corrupt journal warns once and
+// starts cold instead of failing.
+func TestOpenRun(t *testing.T) {
+	fsys := faultinject.NewMemFS()
+	seed := func() {
+		j := mustOpen(t, fsys, "ckpt", testFP, Options{})
+		j.Done(testKey(0), 1, []byte("seg0"))
+		j.Flush()
+		j.Done(testKey(1), 1, []byte("seg1"))
+		j.Close()
+	}
+	open := func(resume bool) (*Journal, string) {
+		t.Helper()
+		var warn strings.Builder
+		j, err := OpenRun(fsys, "ckpt", testFP, resume, &warn, "prog")
+		if err != nil {
+			t.Fatalf("OpenRun(resume=%v): %v", resume, err)
+		}
+		defer j.Close()
+		return j, warn.String()
+	}
+
+	seed()
+	if j, warn := open(true); j.Stats().Resolved != 2 || warn != "" {
+		t.Errorf("resume: %d resolved, warning %q; want 2, none", j.Stats().Resolved, warn)
+	}
+	if j, warn := open(false); j.Stats().Resolved != 0 || warn != "" {
+		t.Errorf("fresh run: %d resolved, warning %q; want a silent cold start", j.Stats().Resolved, warn)
+	}
+
+	seed()
+	fsys.FlipByte(filepath.Join("ckpt", segName(0)), 0)
+	j, warn := open(true)
+	if j.Stats().Resolved != 0 || !strings.HasPrefix(warn, "prog: checkpoint: corrupt journal") ||
+		!strings.HasSuffix(warn, " — starting cold\n") {
+		t.Errorf("corrupt resume: %d resolved, warning %q; want a warned cold start", j.Stats().Resolved, warn)
+	}
+}
+
+func TestJournalTerminal(t *testing.T) {
+	fsys := faultinject.NewMemFS()
+	j := mustOpen(t, fsys, "ckpt", testFP, Options{})
+	defer j.Close()
+	j.Done(testKey(0), 1, nil)
+	j.Failed(testKey(1), 1, "transient")
+	j.Quarantined(testKey(2), 3, "gaussian", "poison", nil)
+	for i, want := range []bool{true, false, true, false} {
+		if got := j.Terminal(testKey(i)); got != want {
+			t.Errorf("Terminal(key %d) = %v, want %v", i, got, want)
+		}
+	}
+	var nilJ *Journal
+	if nilJ.Terminal(testKey(0)) {
+		t.Error("nil journal reports a terminal unit")
 	}
 }
 

@@ -221,7 +221,7 @@ func TestRunnerCancellationRacesLeaseExpiryRerunnable(t *testing.T) {
 	}
 	terminal := 0
 	for _, rec := range recs {
-		if rec.Key == k && (rec.Status == StatusDone || rec.Status == StatusQuarantined) {
+		if rec.Key == k && rec.Status.Terminal() {
 			terminal++
 		}
 	}

@@ -1,19 +1,15 @@
 package dist
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"lvf2/internal/chaostest"
 	"lvf2/internal/checkpoint"
 	"lvf2/internal/faultinject"
 	"lvf2/internal/mc"
@@ -32,26 +28,8 @@ import (
 //   - the run terminates: leases expire, workers respawn, the
 //     coordinator restarts from the journal alone.
 //
-// On failure the expanded script, the journal segments and the
-// coordinator/worker logs are written under CHAOS_ARTIFACT_DIR (or the
-// system temp dir) for replay with -distchaos.seed.
-var (
-	distChaosSeeds = flag.Int("distchaos.seeds", 2, "how many randomized kill schedules TestChaosDistributedBuild replays")
-	distChaosSeed  = flag.Int64("distchaos.seed", 0, "replay only this chaos seed (0 = run -distchaos.seeds schedules)")
-)
-
-type distChaosStep struct {
-	Op     string `json:"op"` // spawn, kill, coordinator-restart, done
-	Worker string `json:"worker,omitempty"`
-	AtMs   int64  `json:"at_ms,omitempty"`
-	Note   string `json:"note,omitempty"`
-}
-
-type distChaosScript struct {
-	Seed     uint64          `json:"seed"`
-	Steps    []distChaosStep `json:"steps"`
-	Injected int64           `json:"net_faults_injected"`
-}
+// A failing seed's artifact carries the journal segments and the
+// coordinator and worker logs (see chaostest).
 
 // distChaosGolden is the uninterrupted single-process reference,
 // computed once per test binary (the build config is constant).
@@ -60,45 +38,14 @@ var distChaosGolden struct {
 	lib  []byte
 }
 
-// syncLog is a concurrency-safe log sink preserved as a failure
-// artifact.
-type syncLog struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (l *syncLog) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.buf.Write(p)
-}
-
-func (l *syncLog) Bytes() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]byte(nil), l.buf.Bytes()...)
-}
-
 func TestChaosDistributedBuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite is not -short")
 	}
-	seeds := make([]uint64, 0, *distChaosSeeds)
-	if *distChaosSeed != 0 {
-		seeds = append(seeds, uint64(*distChaosSeed))
-	} else {
-		for i := 0; i < *distChaosSeeds; i++ {
-			seeds = append(seeds, uint64(7000+17*i))
-		}
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runDistChaos(t, seed)
-		})
-	}
+	chaostest.Suite{Base: 7000, Stride: 17, Count: 2}.Run(t, runDistChaos)
 }
 
-func runDistChaos(t *testing.T, seed uint64) {
+func runDistChaos(t *testing.T, run *chaostest.Record) {
 	distChaosGolden.once.Do(func() {
 		goldenFS := faultinject.NewMemFS()
 		cfg := testBuild(openJournal(t, goldenFS, "golden", testBuild(nil).Fingerprint()))
@@ -106,48 +53,11 @@ func runDistChaos(t *testing.T, seed uint64) {
 	})
 	golden := distChaosGolden.lib
 
-	script := &distChaosScript{Seed: seed}
-	logs := &syncLog{}
+	logs := run.Log()
 	fsys := faultinject.NewMemFS()
-	start := time.Now()
-	var scriptMu sync.Mutex
-	step := func(s distChaosStep) {
-		scriptMu.Lock()
-		s.AtMs = time.Since(start).Milliseconds()
-		script.Steps = append(script.Steps, s)
-		scriptMu.Unlock()
-	}
-	defer func() {
-		if !t.Failed() {
-			return
-		}
-		dir := os.Getenv("CHAOS_ARTIFACT_DIR")
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		_ = os.MkdirAll(dir, 0o755)
-		b, _ := json.MarshalIndent(script, "", "  ")
-		path := filepath.Join(dir, fmt.Sprintf("dist-chaos-failure-seed-%d.json", seed))
-		if err := os.WriteFile(path, b, 0o644); err == nil {
-			t.Logf("chaos: failing script written to %s (replay with -distchaos.seed=%d)", path, seed)
-		}
-		logPath := filepath.Join(dir, fmt.Sprintf("dist-chaos-seed-%d.log", seed))
-		if err := os.WriteFile(logPath, logs.Bytes(), 0o644); err == nil {
-			t.Logf("chaos: coordinator/worker logs preserved as %s", logPath)
-		}
-		for _, p := range fsys.Paths() {
-			seg, err := fsys.ReadFile(p)
-			if err != nil {
-				continue
-			}
-			out := filepath.Join(dir, fmt.Sprintf("dist-chaos-seed-%d-%s", seed, filepath.Base(p)))
-			if err := os.WriteFile(out, seg, 0o644); err == nil {
-				t.Logf("chaos: journal segment preserved as %s", out)
-			}
-		}
-	}()
+	run.Attach(fsys)
 
-	rng := mc.NewRNG(seed)
+	rng := mc.NewRNG(run.Seed)
 	fp := testBuild(nil).Fingerprint()
 
 	// The coordinator behind a swappable handler, so a "crash-restart"
@@ -222,12 +132,12 @@ func runDistChaos(t *testing.T, seed uint64) {
 		defer slotMu.Unlock()
 		gen++
 		id := fmt.Sprintf("w%d-g%d", i, gen)
-		ft := faultinject.NewFaultTransport(nil, faults, seed^uint64(gen)*0x9e3779b97f4a7c15)
+		ft := faultinject.NewFaultTransport(nil, faults, run.Seed^uint64(gen)*0x9e3779b97f4a7c15)
 		transports = append(transports, ft)
 		wctx, cancel := context.WithCancel(ctx)
 		s := &slot{cancel: cancel, exited: make(chan struct{}), id: id}
 		live[i] = s
-		step(distChaosStep{Op: "spawn", Worker: id})
+		run.Step("spawn", id)
 		go func() {
 			defer close(s.exited)
 			err := RunWorker(wctx, WorkerConfig{
@@ -260,11 +170,11 @@ func runDistChaos(t *testing.T, seed uint64) {
 			s := live[i]
 			slotMu.Unlock()
 			if s != nil {
-				step(distChaosStep{Op: "kill", Worker: s.id})
+				run.Step("kill", s.id)
 				s.cancel()
 			}
 		case 2: // coordinator crash-restart
-			step(distChaosStep{Op: "coordinator-restart"})
+			run.Step("coordinator-restart")
 			newCoordinator()
 		}
 		for i := 0; i < slots; i++ {
@@ -281,7 +191,7 @@ func runDistChaos(t *testing.T, seed uint64) {
 			}
 		}
 	}
-	step(distChaosStep{Op: "done"})
+	run.Step("done")
 	cancelAll()
 	slotMu.Lock()
 	for _, s := range live {
@@ -289,10 +199,12 @@ func runDistChaos(t *testing.T, seed uint64) {
 			<-s.exited
 		}
 	}
+	var injected int64
 	for _, ft := range transports {
-		script.Injected += ft.Injected()
+		injected += ft.Injected()
 	}
 	slotMu.Unlock()
+	run.Step("net_faults_injected", injected)
 
 	// Final assembly from the journal alone must restore all 32 units
 	// and match the single-process golden bit for bit.
@@ -309,9 +221,9 @@ func runDistChaos(t *testing.T, seed uint64) {
 	if stats.Quarantined != 0 {
 		t.Errorf("chaos run quarantined %d units; environmental faults must not condemn units", stats.Quarantined)
 	}
-	if !bytes.Equal(libBytes, golden) {
-		t.Errorf("chaos library differs from single-process golden (%d vs %d bytes)", len(libBytes), len(golden))
+	if d := chaostest.Diff(libBytes, golden); d != "" {
+		t.Errorf("chaos library differs from single-process golden: %s", d)
 	}
 	assertOneTerminalPerKey(t, fsys, "ckpt", fp)
-	t.Logf("chaos seed %d: %d schedule steps, %d net faults injected", seed, len(script.Steps), script.Injected)
+	t.Logf("chaos seed %d: %d net faults injected", run.Seed, injected)
 }

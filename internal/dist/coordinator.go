@@ -151,10 +151,10 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	for i, ref := range refs {
 		u := &unitState{ref: ref, pair: i / 2}
 		if rec, ok := cfg.Build.Journal.Lookup(ref.Key); ok {
-			switch rec.Status {
-			case checkpoint.StatusDone, checkpoint.StatusQuarantined:
+			switch {
+			case rec.Status.Terminal():
 				u.terminal = true
-			case checkpoint.StatusFailed:
+			case rec.Status == checkpoint.StatusFailed:
 				u.attempts = rec.Attempts
 				if u.attempts >= maxAtt {
 					u.salvage = true

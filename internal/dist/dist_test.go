@@ -107,7 +107,7 @@ func assertOneTerminalPerKey(t *testing.T, fsys checkpoint.FS, dir string, fp ch
 	}
 	terminal := map[checkpoint.Key]int{}
 	for _, rec := range recs {
-		if rec.Status == checkpoint.StatusDone || rec.Status == checkpoint.StatusQuarantined {
+		if rec.Status.Terminal() {
 			terminal[rec.Key]++
 		}
 	}

@@ -23,7 +23,7 @@ func cancelWhenResolved(j *checkpoint.Journal, n int, cancel context.CancelFunc,
 			}
 			resolved := 0
 			for _, rec := range j.Records() {
-				if rec.Status == checkpoint.StatusDone || rec.Status == checkpoint.StatusQuarantined {
+				if rec.Status.Terminal() {
 					resolved++
 				}
 			}

@@ -370,10 +370,6 @@ func Table2Ctx(ctx context.Context, cfg Table2Config) ([]CellTypeResult, error) 
 		Seed:       cfg.Seed,
 		GridStride: cfg.GridStride,
 	}.WithDefaults()
-	terminal := func(k checkpoint.Key) bool {
-		rec, ok := cfg.Checkpoint.Lookup(k)
-		return ok && (rec.Status == checkpoint.StatusDone || rec.Status == checkpoint.StatusQuarantined)
-	}
 	unitKey := func(arc cells.Arc, si, li int, kind cells.Kind) checkpoint.Key {
 		return checkpoint.Key{Cell: arc.Cell, Pin: "table2", Arc: arc.Label, Slew: si, Load: li, Kind: kind.String()}
 	}
@@ -433,8 +429,8 @@ produce:
 			// are already journaled terminal.
 			acfg := charCfg
 			acfg.Skip = func(_ cells.Arc, si, li int) bool {
-				return terminal(unitKey(arc, si, li, cells.Delay)) &&
-					terminal(unitKey(arc, si, li, cells.Transition))
+				return cfg.Checkpoint.Terminal(unitKey(arc, si, li, cells.Delay)) &&
+					cfg.Checkpoint.Terminal(unitKey(arc, si, li, cells.Transition))
 			}
 			dists, cerr := cells.CharacterizeArcCtx(ctx, acfg, arc)
 			if cerr != nil {

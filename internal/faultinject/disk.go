@@ -181,11 +181,6 @@ type DiskFaults struct {
 	PCorruptRead float64
 }
 
-// Uniform returns a plan with every fault class at probability p.
-func Uniform(p float64) DiskFaults {
-	return DiskFaults{PWriteErr: p, PShortWrite: p, PSyncErr: p, PRenameErr: p, PReadErr: p, PCorruptRead: p}
-}
-
 // FaultFS wraps an inner modelcache.FS with the DiskFaults plan.
 type FaultFS struct {
 	inner modelcache.FS

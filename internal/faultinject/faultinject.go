@@ -1,9 +1,9 @@
 // Package faultinject provides seedable fault injectors for the
 // characterisation → fit → emit pipeline's robustness tests: contaminated
-// sample sets (NaN/Inf, all-identical, undersized, extreme outliers) and
-// faulty Monte-Carlo evaluators (panicking, sample-corrupting). Every
-// injector is deterministic given its seed and safe for concurrent use —
-// shared state would make -race runs of the parallel pipeline flaky.
+// sample sets (NaN, all-identical, undersized) and faulty Monte-Carlo
+// evaluators (panicking, sample-corrupting). Every injector is
+// deterministic given its seed and safe for concurrent use — shared
+// state would make -race runs of the parallel pipeline flaky.
 package faultinject
 
 import (
@@ -21,12 +21,6 @@ func ContaminateNaN(xs []float64, frac float64, seed uint64) []float64 {
 	return contaminate(xs, frac, seed, math.NaN())
 }
 
-// ContaminateInf returns a copy of xs with ~frac of the entries replaced
-// by +Inf at seeded-random positions (at least one when frac > 0).
-func ContaminateInf(xs []float64, frac float64, seed uint64) []float64 {
-	return contaminate(xs, frac, seed, math.Inf(1))
-}
-
 func contaminate(xs []float64, frac float64, seed uint64, v float64) []float64 {
 	out := append([]float64(nil), xs...)
 	if len(out) == 0 || frac <= 0 {
@@ -39,25 +33,6 @@ func contaminate(xs []float64, frac float64, seed uint64, v float64) []float64 {
 	rng := mc.NewRNG(seed | 1)
 	for _, i := range rng.Perm(len(out))[:min(k, len(out))] {
 		out[i] = v
-	}
-	return out
-}
-
-// Outliers returns a copy of xs with ~frac of the entries scaled by the
-// given factor — extreme factors (1e300) overflow downstream moment
-// accumulators, moderate ones (1e3) stress mixture initialisation.
-func Outliers(xs []float64, frac, factor float64, seed uint64) []float64 {
-	out := append([]float64(nil), xs...)
-	if len(out) == 0 || frac <= 0 {
-		return out
-	}
-	k := int(frac * float64(len(out)))
-	if k < 1 {
-		k = 1
-	}
-	rng := mc.NewRNG(seed | 1)
-	for _, i := range rng.Perm(len(out))[:min(k, len(out))] {
-		out[i] *= factor
 	}
 	return out
 }

@@ -99,14 +99,6 @@ func FitLVF2Seeded(xs []float64, seed Seed, o Options) (LVF2Result, WarmOutcome,
 	return r, r.Warm, err
 }
 
-// FitLVF2SeededWs is FitLVF2Seeded through caller-owned workspace
-// buffers (see FitLVF2Ws).
-func FitLVF2SeededWs(xs []float64, seed Seed, o Options, fw *Workspace) (LVF2Result, WarmOutcome, error) {
-	o.Seed = &seed
-	r, err := FitLVF2Ws(xs, o, fw)
-	return r, r.Warm, err
-}
-
 // fitLVF2Seeded runs the warm path: transport the seed to the sample's
 // location/scale, refine by ECM, and gate the result. A gate failure
 // returns ok=false and the caller falls back to the cold multi-start.

@@ -3,16 +3,12 @@ package libbuild
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"flag"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"lvf2/internal/chaostest"
 	"lvf2/internal/checkpoint"
 	"lvf2/internal/faultinject"
 	"lvf2/internal/liberty"
@@ -31,25 +27,8 @@ import (
 //   - a rotten journal surfaces as ErrCorruptJournal, never a panic, a
 //     crash or a silent partial resume.
 //
-// On failure the expanded script plus the journal segment files are
-// written under CHAOS_ARTIFACT_DIR (or the system temp dir) for replay
-// with -ckptchaos.seed.
-var (
-	ckptChaosSeeds = flag.Int("ckptchaos.seeds", 2, "how many randomized kill-and-resume scripts TestChaosCheckpointResume replays")
-	ckptChaosSeed  = flag.Int64("ckptchaos.seed", 0, "replay only this chaos seed (0 = run -ckptchaos.seeds scripts)")
-)
-
-type ckptChaosStep struct {
-	Op   string `json:"op"` // kill, tear, rot, reset, resume, final
-	At   int    `json:"at,omitempty"`
-	Path string `json:"path,omitempty"`
-	Note string `json:"note,omitempty"`
-}
-
-type ckptChaosScript struct {
-	Seed  uint64          `json:"seed"`
-	Steps []ckptChaosStep `json:"steps"`
-}
+// A failing seed's artifact carries the journal segments it resumed
+// from (see chaostest).
 
 // chaosGolden computes the uninterrupted reference bytes once per test
 // binary (the build is deterministic, so every seed shares it).
@@ -59,59 +38,18 @@ var chaosGolden struct {
 }
 
 func TestChaosCheckpointResume(t *testing.T) {
-	seeds := make([]uint64, 0, *ckptChaosSeeds)
-	if *ckptChaosSeed != 0 {
-		seeds = append(seeds, uint64(*ckptChaosSeed))
-	} else {
-		for i := 0; i < *ckptChaosSeeds; i++ {
-			seeds = append(seeds, uint64(4000+13*i))
-		}
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runCkptChaosScript(t, seed)
-		})
-	}
+	chaostest.Suite{Base: 4000, Stride: 13, Count: 2}.Run(t, runCkptChaosScript)
 }
 
-func runCkptChaosScript(t *testing.T, seed uint64) {
+func runCkptChaosScript(t *testing.T, run *chaostest.Record) {
 	chaosGolden.once.Do(func() {
 		chaosGolden.lib, _ = buildBytes(t, context.Background(), testConfig())
 	})
 	golden := chaosGolden.lib
 
-	script := &ckptChaosScript{Seed: seed}
 	fsys := faultinject.NewMemFS()
-	defer func() {
-		if !t.Failed() {
-			return
-		}
-		dir := os.Getenv("CHAOS_ARTIFACT_DIR")
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		_ = os.MkdirAll(dir, 0o755)
-		path := filepath.Join(dir, fmt.Sprintf("ckpt-chaos-failure-seed-%d.json", seed))
-		b, _ := json.MarshalIndent(script, "", "  ")
-		if err := os.WriteFile(path, b, 0o644); err == nil {
-			t.Logf("chaos: failing script written to %s (replay with -ckptchaos.seed=%d)", path, seed)
-		}
-		// The journal segments themselves are the other half of the
-		// artifact: the exact bytes the failing replay resumed from.
-		for _, p := range fsys.Paths() {
-			seg, err := fsys.ReadFile(p)
-			if err != nil {
-				continue
-			}
-			out := filepath.Join(dir, fmt.Sprintf("ckpt-chaos-seed-%d-%s", seed, filepath.Base(p)))
-			if err := os.WriteFile(out, seg, 0o644); err == nil {
-				t.Logf("chaos: journal segment preserved as %s", out)
-			}
-		}
-	}()
-
-	rng := mc.NewRNG(seed)
-	step := func(s ckptChaosStep) { script.Steps = append(script.Steps, s) }
+	run.Attach(fsys)
+	rng := mc.NewRNG(run.Seed)
 
 	const maxRounds = 6
 	for round := 0; round < maxRounds; round++ {
@@ -119,7 +57,7 @@ func runCkptChaosScript(t *testing.T, seed uint64) {
 		j, err := checkpoint.Open(fsys, "ckpt", cfg.Fingerprint(), checkpoint.Options{FlushEvery: 4})
 		if errors.Is(err, checkpoint.ErrCorruptJournal) {
 			// The documented recovery: typed error, reset, cold start.
-			step(ckptChaosStep{Op: "reset", Note: err.Error()})
+			run.Step("reset", err)
 			if err := checkpoint.Reset(fsys, "ckpt"); err != nil {
 				t.Fatalf("Reset: %v", err)
 			}
@@ -130,7 +68,7 @@ func runCkptChaosScript(t *testing.T, seed uint64) {
 		}
 		terminal := make(map[checkpoint.Key]bool)
 		for _, rec := range j.Records() {
-			if rec.Status == checkpoint.StatusDone || rec.Status == checkpoint.StatusQuarantined {
+			if rec.Status.Terminal() {
 				terminal[rec.Key] = true
 			}
 		}
@@ -145,7 +83,7 @@ func runCkptChaosScript(t *testing.T, seed uint64) {
 		ctx, cancel := context.WithCancel(context.Background())
 		if !final {
 			killAt := 1 + int(rng.Uint64()%34) // anywhere in the 32-unit build, sometimes past it
-			step(ckptChaosStep{Op: "kill", At: killAt})
+			run.Step("kill", "at fit", killAt)
 			var fits atomic.Int64
 			hook := cfg.fitHook
 			cfg.fitHook = func(k checkpoint.Key) {
@@ -155,7 +93,7 @@ func runCkptChaosScript(t *testing.T, seed uint64) {
 				}
 			}
 		} else {
-			step(ckptChaosStep{Op: "final"})
+			run.Step("final")
 		}
 
 		lib, _, err := Build(ctx, cfg)
@@ -166,9 +104,8 @@ func runCkptChaosScript(t *testing.T, seed uint64) {
 			if werr := liberty.WriteLibrary(&buf, lib); werr != nil {
 				t.Fatalf("round %d: write: %v", round, werr)
 			}
-			if !bytes.Equal(buf.Bytes(), golden) {
-				t.Fatalf("round %d: completed library differs from golden (%d vs %d bytes)",
-					round, buf.Len(), len(golden))
+			if d := chaostest.Diff(buf.Bytes(), golden); d != "" {
+				t.Fatalf("round %d: completed library differs from golden: %s", round, d)
 			}
 			return // a completed round with golden bytes is the pass condition
 		}
@@ -191,16 +128,16 @@ func runCkptChaosScript(t *testing.T, seed uint64) {
 			b, _ := fsys.ReadFile(p)
 			if n := len(b) - (1 + int(rng.Uint64()%16)); n > 0 {
 				fsys.Truncate(p, n)
-				step(ckptChaosStep{Op: "tear", Path: p, At: n})
+				run.Step("tear", p, "to", n, "bytes")
 			}
 		case 1: // single-byte rot anywhere
 			p := paths[int(rng.Uint64()%uint64(len(paths)))]
 			b, _ := fsys.ReadFile(p)
 			off := int(rng.Uint64() % uint64(len(b)))
 			fsys.FlipByte(p, off)
-			step(ckptChaosStep{Op: "rot", Path: p, At: off})
+			run.Step("rot", p, "byte", off)
 		default:
-			step(ckptChaosStep{Op: "resume"})
+			run.Step("resume")
 		}
 	}
 	t.Fatalf("no round completed within %d attempts", maxRounds)

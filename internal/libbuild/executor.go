@@ -28,14 +28,14 @@ func Plan(cfg Config) ([]UnitRef, error) {
 	}
 	cfg.Char = cfg.Char.WithDefaults()
 	jobs, _ := planJobs(cfg)
-	points := gridPoints(cfg.Char)
+	points := cfg.Char.SweepPoints()
 	refs := make([]UnitRef, 0, len(jobs)*len(points)*2)
 	for _, j := range jobs {
 		for _, p := range points {
 			for _, kind := range [...]cells.Kind{cells.Delay, cells.Transition} {
 				refs = append(refs, UnitRef{
 					Key: checkpoint.Key{Cell: j.arc.Cell, Pin: j.pin, Arc: j.arc.Label,
-						Slew: p.si, Load: p.li, Kind: kind.String()},
+						Slew: p.SlewIdx, Load: p.LoadIdx, Kind: kind.String()},
 					Arc: j.arc,
 				})
 			}

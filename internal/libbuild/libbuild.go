@@ -223,30 +223,9 @@ func Build(ctx context.Context, cfg Config) (*liberty.Group, Stats, error) {
 	return lib, stats, nil
 }
 
-// gridPoint is one visited (slew, load) coordinate: raw grid indices
-// (the checkpoint key / RNG seed domain) and matrix indices (the
-// emitted table domain).
-type gridPoint struct {
-	si, li int // raw grid indices
-	mi, mj int // matrix (table) indices: raw / stride
-}
-
 type distKey struct {
 	si, li int
 	kind   cells.Kind
-}
-
-// gridPoints enumerates the visited (slew, load) coordinates of a
-// characterisation grid in deterministic sweep order.
-func gridPoints(char cells.CharConfig) []gridPoint {
-	stride := char.GridStride
-	var points []gridPoint
-	for si := 0; si < len(char.Grid.Slews); si += stride {
-		for li := 0; li < len(char.Grid.Loads); li += stride {
-			points = append(points, gridPoint{si: si, li: li, mi: si / stride, mj: li / stride})
-		}
-	}
-	return points
 }
 
 // buildArc resolves one arc's units and assembles its delay/transition
@@ -263,22 +242,19 @@ func buildArc(ctx context.Context, cfg Config, runner *checkpoint.Runner, arc ce
 	for j := 0; j < len(grid.Loads); j += stride {
 		idx2 = append(idx2, grid.Loads[j])
 	}
-	points := gridPoints(cfg.Char)
+	points := cfg.Char.SweepPoints()
 
-	key := func(p gridPoint, kind cells.Kind) checkpoint.Key {
+	key := func(p cells.GridPoint, kind cells.Kind) checkpoint.Key {
 		return checkpoint.Key{Cell: arc.Cell, Pin: pin, Arc: arc.Label,
-			Slew: p.si, Load: p.li, Kind: kind.String()}
-	}
-	terminal := func(k checkpoint.Key) bool {
-		rec, ok := runner.Journal.Lookup(k)
-		return ok && (rec.Status == checkpoint.StatusDone || rec.Status == checkpoint.StatusQuarantined)
+			Slew: p.SlewIdx, Load: p.LoadIdx, Kind: kind.String()}
 	}
 	// MC evaluation is shared by a point's two units: skip it only when
 	// BOTH are terminal (a point with one unit still pending recomputes
 	// its samples — cheap relative to losing the resume guarantee).
 	skip := make(map[[2]int]bool, len(points))
 	for _, p := range points {
-		skip[[2]int{p.si, p.li}] = terminal(key(p, cells.Delay)) && terminal(key(p, cells.Transition))
+		skip[[2]int{p.SlewIdx, p.LoadIdx}] = runner.Journal.Terminal(key(p, cells.Delay)) &&
+			runner.Journal.Terminal(key(p, cells.Transition))
 	}
 	charCfg := cfg.Char
 	charCfg.Skip = func(_ cells.Arc, si, li int) bool { return skip[[2]int{si, li}] }
@@ -328,18 +304,18 @@ func buildArc(ctx context.Context, cfg Config, runner *checkpoint.Runner, arc ce
 	row := -1
 	var stats Stats
 	for _, p := range points {
-		if p.mi != row {
-			row = p.mi
+		if p.Row != row {
+			row = p.Row
 			prevAnchors[cells.Delay], prevAnchors[cells.Transition] = anchors[cells.Delay], anchors[cells.Transition]
 			anchors[cells.Delay], anchors[cells.Transition] = nil, nil
 			rowSeed[cells.Delay], rowSeed[cells.Transition] = nil, nil
 		}
 		for _, kind := range [...]cells.Kind{cells.Delay, cells.Transition} {
 			k := key(p, kind)
-			d, haveDist := byPoint[distKey{si: p.si, li: p.li, kind: kind}]
+			d, haveDist := byPoint[distKey{si: p.SlewIdx, li: p.LoadIdx, kind: kind}]
 			var seed *fit.Seed
 			if warmable {
-				if p.mj != 0 {
+				if p.Col != 0 {
 					seed = rowSeed[kind]
 				} else {
 					seed = prevAnchors[kind]
@@ -379,7 +355,7 @@ func buildArc(ctx context.Context, cfg Config, runner *checkpoint.Runner, arc ce
 				if clean {
 					rowSeed[kind] = seedFromModel(model)
 				}
-				if p.mj == 0 {
+				if p.Col == 0 {
 					if clean {
 						anchors[kind] = rowSeed[kind]
 					} else {
@@ -397,9 +373,9 @@ func buildArc(ctx context.Context, cfg Config, runner *checkpoint.Runner, arc ce
 				}
 			}
 			if kind == cells.Delay {
-				nomD[p.mi][p.mj], modD[p.mi][p.mj] = nom, model
+				nomD[p.Row][p.Col], modD[p.Row][p.Col] = nom, model
 			} else {
-				nomT[p.mi][p.mj], modT[p.mi][p.mj] = nom, model
+				nomT[p.Row][p.Col], modT[p.Row][p.Col] = nom, model
 			}
 		}
 	}
@@ -492,17 +468,17 @@ func resolveUnit(ctx context.Context, cfg Config, runner *checkpoint.Runner, k c
 
 // unitResult turns a resolved unit into the (nominal, model, note, warm
 // outcome) tuple the table assembly consumes.
-func unitResult(cfg Config, unit checkpoint.Unit, arc cells.Arc, p gridPoint, kind cells.Kind) (float64, core.Model, string, fit.WarmOutcome, error) {
+func unitResult(cfg Config, unit checkpoint.Unit, arc cells.Arc, p cells.GridPoint, kind cells.Kind) (float64, core.Model, string, fit.WarmOutcome, error) {
 	if unit.Payload == nil {
 		// A dropped unit (quarantined with no salvage payload) still needs
 		// a finite table entry; reconstruct the nominal deterministically.
-		nd, nt := arc.Elec.NominalEval(cfg.Char.Corner, cfg.Char.Grid.Slews[p.si], cfg.Char.Grid.Loads[p.li])
+		nd, nt := arc.Elec.NominalEval(cfg.Char.Corner, cfg.Char.Grid.Slews[p.SlewIdx], cfg.Char.Grid.Loads[p.LoadIdx])
 		nom := nd
 		if kind == cells.Transition {
 			nom = nt
 		}
 		m := core.FromLVF(core.Theta{Mean: nom, Sigma: math.Max(math.Abs(nom)*1e-9, 1e-12)})
-		note := fmt.Sprintf("%s (%d,%d): %s [dropped]", arc.Label, p.mi, p.mj, unit.Note)
+		note := fmt.Sprintf("%s (%d,%d): %s [dropped]", arc.Label, p.Row, p.Col, unit.Note)
 		return nom, m, note, fit.WarmCold, nil
 	}
 	nom, model, note, warm, err := decodeUnit(unit.Payload)
@@ -510,7 +486,7 @@ func unitResult(cfg Config, unit checkpoint.Unit, arc cells.Arc, p gridPoint, ki
 		return 0, core.Model{}, "", fit.WarmCold, fmt.Errorf("libbuild: unit %s payload: %w", unit.Key, err)
 	}
 	if unit.Quarantined {
-		note = fmt.Sprintf("%s (%d,%d): %s [%s]", arc.Label, p.mi, p.mj, unit.Note, unit.Rung)
+		note = fmt.Sprintf("%s (%d,%d): %s [%s]", arc.Label, p.Row, p.Col, unit.Note, unit.Rung)
 	}
 	return nom, model, note, warm, nil
 }

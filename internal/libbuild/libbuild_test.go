@@ -99,7 +99,7 @@ func TestBuildGoldenKillAndResume(t *testing.T) {
 	j2 := openTestJournal(t, fsys, cfg)
 	doneBefore := make(map[checkpoint.Key]bool)
 	for _, rec := range j2.Records() {
-		if rec.Status == checkpoint.StatusDone || rec.Status == checkpoint.StatusQuarantined {
+		if rec.Status.Terminal() {
 			doneBefore[rec.Key] = true
 		}
 	}

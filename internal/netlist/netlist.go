@@ -60,17 +60,6 @@ type Module struct {
 	Instances []Instance
 }
 
-// PortDirOf returns the direction of a port, or ok=false for internal
-// nets.
-func (m *Module) PortDirOf(net string) (PortDir, bool) {
-	for _, p := range m.Ports {
-		if p.Name == net {
-			return p.Dir, true
-		}
-	}
-	return 0, false
-}
-
 // Inputs returns the module's input port names.
 func (m *Module) Inputs() []string {
 	var out []string

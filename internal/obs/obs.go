@@ -155,31 +155,6 @@ func (g *Gauge) write(w io.Writer) {
 	fmt.Fprintf(w, "%s %d\n", g.name, g.v.Load())
 }
 
-// FloatGauge is a float-valued level (ratios, byte fractions). It
-// stores the float64 bits atomically, so Set/Value are safe from any
-// goroutine without a lock.
-type FloatGauge struct {
-	name string
-	bits atomic.Uint64
-}
-
-// NewFloatGauge registers (or fetches) a float gauge.
-func NewFloatGauge(r *Registry, name, help string) *FloatGauge {
-	return r.register(name, help, &FloatGauge{name: name}).(*FloatGauge)
-}
-
-// Set replaces the level.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current level.
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *FloatGauge) metricName() string { return g.name }
-func (g *FloatGauge) metricType() string { return "gauge" }
-func (g *FloatGauge) write(w io.Writer) {
-	fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(g.Value()))
-}
-
 // GaugeFunc is a gauge whose value is computed at scrape time — the
 // natural shape for cache sizes owned by another subsystem.
 type GaugeFunc struct {

@@ -2,22 +2,21 @@ package server
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"lvf2/internal/chaostest"
 	"lvf2/internal/faultinject"
 	"lvf2/internal/mc"
 )
 
-// Chaos harness. Each seed expands deterministically into a fault
+// TestChaosServing is the crash-safety chaos suite. Each seed expands
+// deterministically into a fault
 // script — a sequence of traffic bursts, fit outages, clock jumps,
 // snapshot saves, snapshot corruptions and kill-and-restart events —
 // replayed against a server whose filesystem and fit path are both
@@ -30,64 +29,12 @@ import (
 //     clean 503 — never a 500, never a torn body,
 //   - a restart never serves stale-checksum snapshot data: a corrupted
 //     snapshot boots cold and counts a restore failure.
-//
-// On failure the expanded script is written as JSON (CHAOS_ARTIFACT_DIR
-// or the system temp dir) so the exact run can be studied and replayed
-// with -chaos.seed.
-var (
-	chaosSeeds = flag.Int("chaos.seeds", 3, "how many randomized chaos scripts TestChaosServing replays")
-	chaosSeed  = flag.Int64("chaos.seed", 0, "replay only this chaos seed (0 = run -chaos.seeds scripts)")
-)
-
-// chaosStep is one recorded script event (also the failure artifact).
-type chaosStep struct {
-	Op   string   `json:"op"`
-	URLs []string `json:"urls,omitempty"`
-	Prob float64  `json:"prob,omitempty"`
-	Dur  string   `json:"dur,omitempty"`
-	Note string   `json:"note,omitempty"`
-}
-
-type chaosScript struct {
-	Seed  uint64      `json:"seed"`
-	Steps []chaosStep `json:"steps"`
-}
-
 func TestChaosServing(t *testing.T) {
-	seeds := make([]uint64, 0, *chaosSeeds)
-	if *chaosSeed != 0 {
-		seeds = append(seeds, uint64(*chaosSeed))
-	} else {
-		for i := 0; i < *chaosSeeds; i++ {
-			seeds = append(seeds, uint64(1000+7*i))
-		}
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runChaosScript(t, seed)
-		})
-	}
+	chaostest.Suite{Base: 1000, Stride: 7, Count: 3}.Run(t, runChaosScript)
 }
 
-func runChaosScript(t *testing.T, seed uint64) {
-	script := &chaosScript{Seed: seed}
-	defer func() {
-		if !t.Failed() {
-			return
-		}
-		dir := os.Getenv("CHAOS_ARTIFACT_DIR")
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		_ = os.MkdirAll(dir, 0o755)
-		path := filepath.Join(dir, fmt.Sprintf("chaos-failure-seed-%d.json", seed))
-		b, _ := json.MarshalIndent(script, "", "  ")
-		if err := os.WriteFile(path, b, 0o644); err == nil {
-			t.Logf("chaos: failing fault script written to %s (replay with -chaos.seed=%d)", path, seed)
-		}
-	}()
-
-	rng := mc.NewRNG(seed)
+func runChaosScript(t *testing.T, run *chaostest.Record) {
+	rng := mc.NewRNG(run.Seed)
 	mfs := faultinject.NewMemFS()
 	ffs := faultinject.NewFaultFS(mfs, faultinject.DiskFaults{
 		PWriteErr:    0.10,
@@ -141,19 +88,8 @@ func runChaosScript(t *testing.T, seed uint64) {
 			for i := range urls {
 				urls[i] = randomURL()
 			}
-			script.Steps = append(script.Steps, chaosStep{Op: "query", URLs: urls})
-			recs := make([]*httptest.ResponseRecorder, len(urls))
-			var wg sync.WaitGroup
-			for i, url := range urls {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					rec := httptest.NewRecorder()
-					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
-					recs[i] = rec
-				}()
-			}
-			wg.Wait()
+			run.Step("query", urls)
+			recs := burst(urls, func(int) http.Handler { return h })
 			for i, rec := range recs {
 				checkChaosResponse(t, urls[i], rec)
 			}
@@ -163,11 +99,11 @@ func runChaosScript(t *testing.T, seed uint64) {
 				prob = 1.0
 			}
 			ff.SetFailProb(prob)
-			script.Steps = append(script.Steps, chaosStep{Op: "set_fit_fail_prob", Prob: prob})
+			run.Step("set_fit_fail_prob", prob)
 		case p < 0.80: // breaker clock jump
 			d := time.Duration(200+rng.Intn(3000)) * time.Millisecond
 			clk.Advance(d)
-			script.Steps = append(script.Steps, chaosStep{Op: "advance_clock", Dur: d.String()})
+			run.Step("advance_clock", d)
 		case p < 0.88: // periodic snapshot tick (may hit disk faults)
 			err := s.SaveSnapshot()
 			note := "ok"
@@ -176,16 +112,16 @@ func runChaosScript(t *testing.T, seed uint64) {
 			} else {
 				corrupted = false
 			}
-			script.Steps = append(script.Steps, chaosStep{Op: "save_snapshot", Note: note})
+			run.Step("save_snapshot", note)
 		case p < 0.94: // corrupt whatever snapshot is on disk
 			if b, err := mfs.ReadFile(snap); err == nil && len(b) > 0 {
 				b[rng.Intn(len(b))] ^= 1 << uint(rng.Intn(8))
 				mfs.WriteFile(snap, b)
 				corrupted = true
-				script.Steps = append(script.Steps, chaosStep{Op: "corrupt_snapshot"})
+				run.Step("corrupt_snapshot")
 			}
 		default: // kill -9 and restart
-			script.Steps = append(script.Steps, chaosStep{Op: "kill_and_restart"})
+			run.Step("kill_and_restart")
 			s = mkServer()
 			s.Bootstrap()
 			h = s.Handler()
@@ -208,7 +144,7 @@ func runChaosScript(t *testing.T, seed uint64) {
 	// outage must yield only explicitly-degraded 200s until the breaker
 	// opens, and once the faults stop the breaker must probe, close, and
 	// hand back full-fidelity answers.
-	script.Steps = append(script.Steps, chaosStep{Op: "epilogue_outage_recovery"})
+	run.Step("epilogue_outage_recovery")
 	ff.SetFailProb(1)
 	bk := breakerKey{libHash: s.byName["testlib"].hash, cell: "INV"}
 	for i := 0; i < 6; i++ {
@@ -242,6 +178,24 @@ func runChaosScript(t *testing.T, seed uint64) {
 			t.Errorf("server %d recovered %d handler panics, want 0", i, n)
 		}
 	}
+}
+
+// burst sends GET urls[i] to via(i), all at once, and returns the
+// responses in order.
+func burst(urls []string, via func(i int) http.Handler) []*httptest.ResponseRecorder {
+	recs := make([]*httptest.ResponseRecorder, len(urls))
+	var wg sync.WaitGroup
+	for i, url := range urls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			via(i).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+			recs[i] = rec
+		}()
+	}
+	wg.Wait()
+	return recs
 }
 
 // checkChaosResponse enforces the per-response chaos invariant.

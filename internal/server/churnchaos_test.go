@@ -1,65 +1,37 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"io"
-	"log/slog"
 	"net/http"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"lvf2/internal/chaostest"
 	"lvf2/internal/faultinject"
 	"lvf2/internal/mc"
 )
 
-// Fleet-churn chaos harness (the acceptance suite of DESIGN.md §17).
-// Each seed expands deterministically into a script of membership events
-// — graceful joins, graceful drains with key handoff, crash-leaves with
-// operator-confirmed epoch bumps, kill/restart cycles — interleaved with
-// concurrent client traffic over faulty peer links. The invariants, on
-// every client-facing response across every epoch:
+// TestChaosFleetChurn is the fleet-churn chaos suite (the acceptance
+// suite of DESIGN.md §17). Each seed expands deterministically into a
+// script of membership events — graceful joins, graceful drains with
+// key handoff, crash-leaves with operator-confirmed epoch bumps,
+// kill/restart cycles — interleaved with concurrent client traffic
+// over faulty peer links. The invariants, on every client-facing
+// response across every epoch:
 //
 //   - the status is 200, no matter which replicas are mid-join,
 //     mid-drain, dead or partitioned,
-//   - the body is bit-identical to a single-process oracle with no
-//     replication and no faults: reconfiguration may move where a model
-//     is fitted, never what comes back,
+//   - the body is bit-identical to the single-process oracle:
+//     reconfiguration may move where a model is fitted, never what
+//     comes back,
 //   - within one anti-entropy round of each rebalance, every live
 //     replica serves ≥90% of its owned keys warm (no refits for keys
 //     the fleet already knows),
 //   - no handler on any replica generation ever panics.
-//
-// On failure the expanded script is written as JSON (CHAOS_ARTIFACT_DIR
-// or the system temp dir) for replay with -churnchaos.seed.
-var (
-	churnChaosSeeds = flag.Int("churnchaos.seeds", 3, "how many randomized fleet-churn scripts TestChaosFleetChurn replays")
-	churnChaosSeed  = flag.Int64("churnchaos.seed", 0, "replay only this fleet-churn seed (0 = run -churnchaos.seeds scripts)")
-)
-
 func TestChaosFleetChurn(t *testing.T) {
-	seeds := make([]uint64, 0, *churnChaosSeeds)
-	if *churnChaosSeed != 0 {
-		seeds = append(seeds, uint64(*churnChaosSeed))
-	} else {
-		for i := 0; i < *churnChaosSeeds; i++ {
-			seeds = append(seeds, uint64(5000+11*i))
-		}
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runChurnChaosScript(t, seed)
-		})
-	}
+	chaostest.Suite{Base: 5000, Stride: 11, Count: 3}.Run(t, runChurnChaosScript)
 }
 
 // churnFaults is the fault mix applied during traffic phases. Membership
@@ -74,204 +46,39 @@ var churnFaults = faultinject.NetFaults{
 	Stall:        5 * time.Millisecond,
 }
 
-// churnFleet is a dynamically sized in-process fleet: replicas boot from
-// epoch-versioned membership documents and enter or leave while traffic
-// flows.
-type churnFleet struct {
-	t       testing.TB
-	ft      *fleetTransport
-	faults  *faultinject.FaultTransport
-	client  *http.Client
-	clk     *faultinject.Clock
-	servers map[string]*Server // live replicas
-	every   []*Server          // every generation, for the no-panics sweep
-	doc     Membership         // the operator's latest membership document
-	nextID  int
-}
-
-func newChurnFleet(t testing.TB, seed uint64) *churnFleet {
+func runChurnChaosScript(t *testing.T, run *chaostest.Record) {
+	rng := mc.NewRNG(run.Seed)
 	ft := newFleetTransport()
-	f := &churnFleet{
-		t:       t,
-		ft:      ft,
-		faults:  faultinject.NewFaultTransport(ft, churnFaults, seed),
-		clk:     faultinject.NewClock(time.Time{}),
-		servers: map[string]*Server{},
-		doc:     Membership{Epoch: 0},
+	faults := faultinject.NewFaultTransport(ft, churnFaults, rng.Uint64())
+	// f.doc is the operator's latest membership document. Churn
+	// replicas run without snapshot stores.
+	f := newTestFleet(t, nil, ft, faults, nil)
+	f.doc = fleetMembers(0, "a", "b", "c")
+	for _, m := range f.doc.Members {
+		f.boot(m.ID, f.doc)
 	}
-	f.client = &http.Client{Transport: f.faults}
-	ids := []string{"a", "b", "c"}
-	f.nextID = len(ids)
-	for _, id := range ids {
-		f.doc.Members = append(f.doc.Members, Peer{ID: id, URL: replURL(id)})
-	}
-	for _, id := range ids {
-		f.boot(id, f.doc)
-	}
-	return f
-}
-
-// boot starts one replica from a membership document and registers it on
-// the fleet network.
-func (f *churnFleet) boot(id string, doc Membership) *Server {
-	f.t.Helper()
-	doc = doc.clone()
-	cfg := Config{
-		FitSamples: 300,
-		Logger:     slog.New(slog.NewTextHandler(io.Discard, nil)),
-		now:        f.clk.Now,
-		Replication: ReplicationOptions{
-			SelfID:          id,
-			SelfURL:         replURL(id),
-			Membership:      &doc,
-			ForwardTimeout:  2 * time.Second,
-			ForwardAttempts: 2,
-			RetryBase:       time.Millisecond,
-			ProbeInterval:   time.Hour, // loops are driven explicitly
-			Breaker:         BreakerOptions{FailureThreshold: 3, OpenBase: time.Second, JitterSeed: 1},
-			Client:          f.client,
-		},
-	}
-	s := New(cfg)
-	if s.repl == nil {
-		f.t.Fatalf("replica %s: membership boot failed", id)
-	}
-	if _, err := s.AddLibrary("testlib", testLibText(f.t, "testlib")); err != nil {
-		f.t.Fatal(err)
-	}
-	s.Bootstrap()
-	f.servers[id] = s
-	f.every = append(f.every, s)
-	f.ft.set(replHost(id), s.Handler())
-	return s
-}
-
-func (f *churnFleet) kill(id string) {
-	f.ft.set(replHost(id), nil)
-	delete(f.servers, id)
-}
-
-func (f *churnFleet) live() []string {
-	ids := make([]string, 0, len(f.servers))
-	for id := range f.servers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-func (f *churnFleet) server(id string) *Server {
-	s, ok := f.servers[id]
-	if !ok {
-		f.t.Fatalf("churn: replica %s is dead", id)
-	}
-	return s
-}
-
-// anyLive returns a deterministic live replica (the first in ID order).
-func (f *churnFleet) anyLive() *Server { return f.server(f.live()[0]) }
-
-// quiet clears peer-link faults (and partitions) for a membership
-// operation; noisy restores the chaos mix.
-func (f *churnFleet) quiet() {
-	f.faults.SetFaults(faultinject.NetFaults{})
-	f.faults.SetPartition()
-}
-
-func (f *churnFleet) noisy() { f.faults.SetFaults(churnFaults) }
-
-// probeAll runs one probe round on every live replica — the epoch
-// catch-up and breaker-heal path after any membership event.
-func (f *churnFleet) probeAll(ctx context.Context) {
-	for _, id := range f.live() {
-		f.server(id).ProbePeersOnce(ctx)
-	}
-}
-
-// antiEntropyAll runs one digest-exchange round on every live replica —
-// the warmth-repair path the ≥90% invariant is measured after.
-func (f *churnFleet) antiEntropyAll(ctx context.Context) {
-	for _, id := range f.live() {
-		f.server(id).AntiEntropyOnce(ctx)
-	}
-}
-
-func runChurnChaosScript(t *testing.T, seed uint64) {
-	script := &chaosScript{Seed: seed}
-	defer func() {
-		if !t.Failed() {
-			return
-		}
-		dir := os.Getenv("CHAOS_ARTIFACT_DIR")
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		_ = os.MkdirAll(dir, 0o755)
-		path := filepath.Join(dir, fmt.Sprintf("churnchaos-failure-seed-%d.json", seed))
-		b, _ := json.MarshalIndent(script, "", "  ")
-		if err := os.WriteFile(path, b, 0o644); err == nil {
-			t.Logf("churnchaos: failing script written to %s (replay with -churnchaos.seed=%d)", path, seed)
-		}
-	}()
-
-	rng := mc.NewRNG(seed)
-	f := newChurnFleet(t, rng.Uint64())
+	nextID := len(f.doc.Members)
 	ctx := context.Background()
-
-	// The oracle: one standalone server, no replication, no faults.
-	solo := newTestServer(t, func(c *Config) { c.FitSamples = 300 })
-	solo.Bootstrap()
-	oracleMemo := map[string][]byte{}
-	oracle := func(url string) []byte {
-		if b, ok := oracleMemo[url]; ok {
-			return b
-		}
-		rec, body := get(t, solo.Handler(), url)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("oracle refused %s: %d %s", url, rec.Code, body)
-		}
-		oracleMemo[url] = body
-		return body
-	}
 	grid := replGridURLs()
 
-	// trafficBurst fires concurrent queries at random live replicas under
-	// the active fault mix; every response must be a 200 with the
-	// oracle's bytes.
-	trafficBurst := func(n int) {
-		targets := f.live()
-		urls := make([]string, n)
-		vias := make([]string, n)
-		for i := range urls {
-			urls[i] = grid[rng.Intn(len(grid))]
-			vias[i] = targets[rng.Intn(len(targets))]
-			oracle(urls[i]) // memoize serially, outside the goroutines
-		}
-		script.Steps = append(script.Steps, chaosStep{Op: "query", URLs: urls, Note: "via " + strings.Join(vias, ",")})
-		recs := make([]*httptest.ResponseRecorder, n)
-		var wg sync.WaitGroup
-		for i := range urls {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rec := httptest.NewRecorder()
-				f.server(vias[i]).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, urls[i], nil))
-				recs[i] = rec
-			}()
-		}
-		wg.Wait()
-		for i, rec := range recs {
-			checkReplChaosResponse(t, urls[i], vias[i], rec, oracle(urls[i]))
-		}
+	// quiet clears peer-link faults (and partitions) for a membership
+	// operation; noisy restores the chaos mix.
+	quiet := func() {
+		faults.SetFaults(faultinject.NetFaults{})
+		faults.SetPartition()
 	}
+	noisy := func() { faults.SetFaults(churnFaults) }
+	anyLive := func() *Server { return f.server(f.live()[0]) }
 
 	// checkWarmth enforces the post-rebalance invariant: one probe round,
 	// one anti-entropy round, then every live replica must serve ≥90% of
 	// its owned grid keys warm.
 	checkWarmth := func(event string) {
-		f.quiet()
+		quiet()
 		f.probeAll(ctx)
-		f.antiEntropyAll(ctx)
+		for _, id := range f.live() {
+			f.server(id).AntiEntropyOnce(ctx)
+		}
 		for _, id := range f.live() {
 			s := f.server(id)
 			var owned []string
@@ -285,11 +92,7 @@ func runChurnChaosScript(t *testing.T, seed uint64) {
 			}
 			before := s.cache.ModelStats()
 			for _, u := range owned {
-				rec, body := get(t, s.Handler(), u)
-				if rec.Code != http.StatusOK || !bytes.Equal(body, oracle(u)) {
-					t.Fatalf("%s: owned replay %s on %s: code %d, oracle match %v",
-						event, u, id, rec.Code, bytes.Equal(body, oracle(u)))
-				}
+				f.expectOracle(t, event+": owned replay", id, u)
 			}
 			after := s.cache.ModelStats()
 			hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
@@ -298,11 +101,12 @@ func runChurnChaosScript(t *testing.T, seed uint64) {
 					event, id, hits, hits+misses)
 			}
 		}
-		f.noisy()
+		noisy()
 	}
 
-	// epochOf returns the operator's next epoch: one past the highest the
-	// fleet has seen (drains advance it behind the operator's back).
+	// bumpDoc returns the operator's next document: one epoch past the
+	// highest the fleet has seen (drains advance it behind the
+	// operator's back).
 	bumpDoc := func(members []Peer) Membership {
 		high := f.doc.Epoch
 		for _, id := range f.live() {
@@ -320,12 +124,7 @@ func runChurnChaosScript(t *testing.T, seed uint64) {
 	outagePass := func(event string) {
 		survivors := f.live()
 		for i, u := range grid {
-			via := survivors[i%len(survivors)]
-			rec, body := get(t, f.server(via).Handler(), u)
-			if rec.Code != http.StatusOK || !bytes.Equal(body, oracle(u)) {
-				t.Fatalf("%s outage %s via %s: code %d, oracle match %v",
-					event, u, via, rec.Code, bytes.Equal(body, oracle(u)))
-			}
+			f.expectOracle(t, event+" outage", survivors[i%len(survivors)], u)
 		}
 	}
 
@@ -333,17 +132,17 @@ func runChurnChaosScript(t *testing.T, seed uint64) {
 
 	// join: a brand-new replica enters via the graceful-join sequence.
 	join := func() {
-		id := fmt.Sprintf("j%d", f.nextID)
-		f.nextID++
-		f.quiet()
-		doc := bumpDoc(append(append([]Peer(nil), currentMembers(f)...), Peer{ID: id, URL: replURL(id)}))
+		id := fmt.Sprintf("j%d", nextID)
+		nextID++
+		quiet()
+		doc := bumpDoc(append(f.doc.clone().Members, Peer{ID: id, URL: replURL(id)}))
 		s := f.boot(id, doc)
-		script.Steps = append(script.Steps, chaosStep{Op: "join", Note: fmt.Sprintf("%s at epoch %d", id, doc.Epoch)})
+		run.Step("join", id, "at epoch", doc.Epoch)
 		if n := s.JoinFleet(ctx); n == 0 {
 			t.Fatalf("join %s: warm-seeded zero models from the incumbents", id)
 		}
 		f.doc = doc
-		f.noisy()
+		noisy()
 		checkWarmth("join " + id)
 	}
 
@@ -351,23 +150,30 @@ func runChurnChaosScript(t *testing.T, seed uint64) {
 	drain := func() {
 		targets := f.live()
 		victim := targets[rng.Intn(len(targets))]
-		f.quiet()
-		script.Steps = append(script.Steps, chaosStep{Op: "drain", Note: victim})
-		rec, body := postJSON(t, f.server(victim).Handler(), "/v1/fleet/drain", nil)
+		quiet()
+		run.Step("drain", victim)
+		rec, body := postJSON(t, f.handler(victim), "/v1/fleet/drain", nil)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("drain %s = %d: %s", victim, rec.Code, body)
 		}
 		resp := decode[drainResponse](t, body)
 		// The drained replica keeps serving until the operator retires
-		// it; one last burst proves it still answers, then it goes away.
-		recc, bodyc := get(t, f.server(victim).Handler(), grid[rng.Intn(len(grid))])
-		if recc.Code != http.StatusOK {
+		// it; one last query proves it still answers, then it goes away.
+		if recc, _ := get(t, f.handler(victim), grid[rng.Intn(len(grid))]); recc.Code != http.StatusOK {
 			t.Fatalf("drained replica %s refused a client query: %d", victim, recc.Code)
 		}
-		_ = bodyc
 		f.kill(victim)
-		f.doc = bumpDocFromSurvivors(t, f, resp.Epoch)
-		f.noisy()
+		// The operator adopts the survivors' post-drain document rather
+		// than inventing a conflicting one.
+		rec, body = get(t, anyLive().Handler(), "/v1/fleet/membership")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("survivor membership GET = %d", rec.Code)
+		}
+		f.doc = decode[Membership](t, body)
+		if f.doc.Epoch != resp.Epoch {
+			t.Fatalf("survivor membership epoch = %d, drain reported %d", f.doc.Epoch, resp.Epoch)
+		}
+		noisy()
 		checkWarmth("drain " + victim)
 	}
 
@@ -376,14 +182,14 @@ func runChurnChaosScript(t *testing.T, seed uint64) {
 	crashLeave := func() {
 		targets := f.live()
 		victim := targets[rng.Intn(len(targets))]
-		script.Steps = append(script.Steps, chaosStep{Op: "crash_leave", Note: victim})
+		run.Step("crash_leave", victim)
 		f.kill(victim)
 		// Survivors take the full grid during the outage — victim-owned
 		// keys land as local fallbacks, which is what keeps them warm for
 		// the epoch bump that follows.
 		outagePass("crash-leave")
 		// Operator confirms the crash-leave: shrunk document, one epoch up.
-		f.quiet()
+		quiet()
 		var rest []Peer
 		for _, m := range f.doc.Members {
 			if m.ID != victim {
@@ -391,13 +197,13 @@ func runChurnChaosScript(t *testing.T, seed uint64) {
 			}
 		}
 		doc := bumpDoc(rest)
-		rec, body := postMembershipDoc(t, f.anyLive().Handler(), doc)
+		rec, body := postMembershipDoc(t, anyLive().Handler(), doc)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("crash-leave epoch bump = %d: %s", rec.Code, body)
 		}
 		f.probeAll(ctx) // spread the bump fleet-wide
 		f.doc = doc
-		f.noisy()
+		noisy()
 		checkWarmth("crash-leave " + victim)
 	}
 
@@ -406,31 +212,26 @@ func runChurnChaosScript(t *testing.T, seed uint64) {
 	killRestart := func() {
 		targets := f.live()
 		victim := targets[rng.Intn(len(targets))]
-		script.Steps = append(script.Steps, chaosStep{Op: "kill_restart", Note: victim})
+		run.Step("kill_restart", victim)
 		f.kill(victim)
 		outagePass("restart") // survivors absorb the full grid while it is down
-		f.quiet()
-		s := f.boot(victim, f.doc)
-		s.WarmSeedFromPeers(ctx)
-		s.ProbePeersOnce(ctx)
-		f.noisy()
+		quiet()
+		f.restart(victim)
+		noisy()
 		checkWarmth("restart " + victim)
 	}
 
 	// Seed warmth: one quiet grid pass so epoch-0 owners hold their keys.
-	f.quiet()
+	quiet()
 	for _, u := range grid {
-		rec, body := get(t, f.anyLive().Handler(), u)
-		if rec.Code != http.StatusOK || !bytes.Equal(body, oracle(u)) {
-			t.Fatalf("seed pass %s: code %d", u, rec.Code)
-		}
+		f.expectOracle(t, "seed pass", f.live()[0], u)
 	}
-	f.noisy()
+	noisy()
 
 	for step := 0; step < 12; step++ {
 		switch p := rng.Float64(); {
 		case p < 0.45:
-			trafficBurst(4 + rng.Intn(4))
+			f.queryBurst(t, run, rng, 4+rng.Intn(4))
 		case p < 0.55: // asymmetric partition toggle among live replicas
 			var blocked []string
 			for _, id := range f.live() {
@@ -438,17 +239,17 @@ func runChurnChaosScript(t *testing.T, seed uint64) {
 					blocked = append(blocked, replHost(id))
 				}
 			}
-			f.faults.SetPartition(blocked...)
-			script.Steps = append(script.Steps, chaosStep{Op: "set_partition", Note: strings.Join(blocked, ",")})
+			faults.SetPartition(blocked...)
+			run.Step("set_partition", strings.Join(blocked, ","))
 		case p < 0.62: // breaker clock jump
 			d := time.Duration(200+rng.Intn(3000)) * time.Millisecond
 			f.clk.Advance(d)
-			script.Steps = append(script.Steps, chaosStep{Op: "advance_clock", Dur: d.String()})
+			run.Step("advance_clock", d)
 		case p < 0.72:
 			if len(f.live()) < 5 {
 				join()
 			} else {
-				trafficBurst(4)
+				f.queryBurst(t, run, rng, 4)
 			}
 		case p < 0.82:
 			if len(f.live()) > 2 {
@@ -460,7 +261,7 @@ func runChurnChaosScript(t *testing.T, seed uint64) {
 			if len(f.live()) > 2 {
 				crashLeave()
 			} else {
-				trafficBurst(4)
+				f.queryBurst(t, run, rng, 4)
 			}
 		default:
 			killRestart()
@@ -473,10 +274,12 @@ func runChurnChaosScript(t *testing.T, seed uint64) {
 	// Epilogue: heal, converge, and prove the final fleet is coherent —
 	// full grid 200 and oracle-identical through every live replica, all
 	// replicas on one epoch, warm everywhere after one anti-entropy round.
-	script.Steps = append(script.Steps, chaosStep{Op: "epilogue"})
-	f.quiet()
+	run.Step("epilogue")
+	quiet()
 	f.probeAll(ctx)
-	f.antiEntropyAll(ctx)
+	for _, id := range f.live() {
+		f.server(id).AntiEntropyOnce(ctx)
+	}
 	epochs := map[uint64]bool{}
 	for _, id := range f.live() {
 		epochs[f.server(id).repl.epoch()] = true
@@ -485,37 +288,9 @@ func runChurnChaosScript(t *testing.T, seed uint64) {
 		t.Fatalf("fleet did not converge on one epoch: %v", epochs)
 	}
 	for i, u := range grid {
-		via := f.live()[i%len(f.live())]
-		rec, body := get(t, f.server(via).Handler(), u)
-		if rec.Code != http.StatusOK || !bytes.Equal(body, oracle(u)) {
-			t.Fatalf("epilogue %s via %s: code %d, oracle match %v", u, via, rec.Code, bytes.Equal(body, oracle(u)))
-		}
+		f.expectOracle(t, "epilogue", f.live()[i%len(f.live())], u)
 	}
 	checkWarmth("epilogue")
 
-	for i, srv := range f.every {
-		if n := srv.metrics.Panics.Value(); n != 0 {
-			t.Errorf("server generation %d recovered %d handler panics, want 0", i, n)
-		}
-	}
-	_ = solo
-}
-
-// currentMembers returns the operator document's member list.
-func currentMembers(f *churnFleet) []Peer { return f.doc.clone().Members }
-
-// bumpDocFromSurvivors reads the post-drain document back from a
-// survivor (the drain already advanced the fleet's epoch; the operator
-// adopts the fleet's view rather than inventing a conflicting one).
-func bumpDocFromSurvivors(t testing.TB, f *churnFleet, wantEpoch uint64) Membership {
-	t.Helper()
-	rec, body := get(t, f.anyLive().Handler(), "/v1/fleet/membership")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("survivor membership GET = %d", rec.Code)
-	}
-	m := decode[Membership](t, body)
-	if m.Epoch != wantEpoch {
-		t.Fatalf("survivor membership epoch = %d, drain reported %d", m.Epoch, wantEpoch)
-	}
-	return m
+	f.checkNoPanics(t)
 }

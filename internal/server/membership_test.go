@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -288,37 +286,17 @@ func TestEpochPropagationViaProbe(t *testing.T) {
 // and serves them warm from the first request.
 func TestGracefulJoinWarmSeed(t *testing.T) {
 	ft := newFleetTransport()
-	f := newTestFleet(t, []string{"a", "b"}, ft, ft, nil)
+	f := newTestFleet(t, []string{"a", "b"}, ft, ft, func(id string, c *Config) {
+		if id == "d" {
+			c.Replication.Breaker = BreakerOptions{} // the joiner keeps the default peer breaker
+		}
+	})
 	a, b := f.server("a"), f.server("b")
 	driveGrid(t, a) // warm the epoch-0 fleet: every key sits with its owner
 
-	// Boot d from the successor document. The harness fleet stays
-	// untouched; d is wired onto the same transport.
-	doc := fleetMembers(1, "a", "b", "d")
-	cfg := Config{
-		FitSamples: 300,
-		Logger:     slog.New(slog.NewTextHandler(io.Discard, nil)),
-		now:        f.clk.Now,
-		Replication: ReplicationOptions{
-			SelfID:          "d",
-			SelfURL:         replURL("d"),
-			Membership:      &doc,
-			ForwardTimeout:  2 * time.Second,
-			ForwardAttempts: 2,
-			RetryBase:       time.Millisecond,
-			ProbeInterval:   time.Hour,
-			Client:          f.client,
-		},
-	}
-	d := New(cfg)
-	if d.repl == nil {
-		t.Fatal("membership boot did not enable replication")
-	}
-	if _, err := d.AddLibrary("testlib", testLibText(t, "testlib")); err != nil {
-		t.Fatal(err)
-	}
-	d.Bootstrap()
-	ft.set(replHost("d"), d.Handler())
+	// Boot d from the successor document on the same transport; the
+	// incumbents learn of it only from d's announce.
+	d := f.boot("d", fleetMembers(1, "a", "b", "d"))
 
 	// While warming, load balancers must hold traffic.
 	d.repl.warming.Store(true)
@@ -430,21 +408,13 @@ func TestFleetDrainHandsOffKeys(t *testing.T) {
 // TestFleetDrainLastMemberRefused: the final member has nowhere to hand
 // its keys; the drain is refused, the fleet document stands.
 func TestFleetDrainLastMemberRefused(t *testing.T) {
-	doc := fleetMembers(0, "a")
-	cfg := Config{
-		FitSamples: 300,
-		Logger:     slog.New(slog.NewTextHandler(io.Discard, nil)),
-		Replication: ReplicationOptions{
-			SelfID:     "a",
-			SelfURL:    replURL("a"),
-			Membership: &doc,
-		},
-	}
-	s := New(cfg)
-	if s.repl == nil {
-		t.Fatal("single-member membership boot failed")
-	}
-	s.Bootstrap()
+	// The lone member runs on real time with default peer settings.
+	f := newTestFleet(t, nil, newFleetTransport(), nil, func(_ string, c *Config) {
+		c.now = nil
+		c.Replication = ReplicationOptions{SelfID: c.Replication.SelfID, SelfURL: c.Replication.SelfURL,
+			Membership: c.Replication.Membership}
+	})
+	s := f.boot("a", fleetMembers(0, "a"))
 	rec, body := postJSON(t, s.Handler(), "/v1/fleet/drain", nil)
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("last-member drain = %d: %s", rec.Code, body)

@@ -1,87 +1,43 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"flag"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"lvf2/internal/chaostest"
 	"lvf2/internal/faultinject"
 	"lvf2/internal/mc"
 )
 
-// Replicated-serving chaos harness. Each seed expands deterministically
-// into a fault script replayed against a three-replica in-process fleet
-// whose peer links run through a FaultTransport (refused connections,
-// dropped responses, corrupted and truncated bodies, stalls, asymmetric
-// partitions) while replicas are killed and restarted mid-flight. The
-// invariant checked on every single client-facing response:
+// TestChaosReplicatedServing is the replicated-serving chaos suite.
+// Each seed expands deterministically into a fault script replayed
+// against a three-replica in-process fleet whose peer links run through
+// a FaultTransport (refused connections, dropped responses, corrupted
+// and truncated bodies, stalls, asymmetric partitions) while replicas
+// are killed and restarted mid-flight. The invariant checked on every
+// single client-facing response:
 //
 //   - the status is 200 — never a 5xx, no matter which replicas are
 //     dead or partitioned (a single-replica outage must be invisible),
-//   - the body is bit-identical to a single-process oracle server with
-//     no replication and no faults: forwarding, checksum-guarded relay
-//     and local fallback may change *where* a model is fitted but never
-//     *what* comes back,
+//   - the body is bit-identical to the single-process oracle: forwarding,
+//     checksum-guarded relay and local fallback may change *where* a
+//     model is fitted but never *what* comes back,
 //   - no handler on any replica, past or present, ever panics.
 //
-// The deterministic epilogue is the acceptance sequence from the issue:
-// warm the fleet, kill one replica, prove zero 5xx and oracle-identical
-// bodies throughout the outage, restart the victim, and prove it
-// recovers ≥90% of its owned keys warm via the peer snapshot seed.
-//
-// On failure the expanded script is written as JSON (CHAOS_ARTIFACT_DIR
-// or the system temp dir) so the exact run can be replayed with
-// -replchaos.seed.
-var (
-	replChaosSeeds = flag.Int("replchaos.seeds", 3, "how many randomized fleet chaos scripts TestChaosReplicatedServing replays")
-	replChaosSeed  = flag.Int64("replchaos.seed", 0, "replay only this fleet chaos seed (0 = run -replchaos.seeds scripts)")
-)
-
+// The deterministic epilogue is the acceptance sequence: warm the
+// fleet, kill one replica, prove zero 5xx and oracle-identical bodies
+// throughout the outage, restart the victim, and prove it recovers ≥90%
+// of its owned keys warm via the peer snapshot seed.
 func TestChaosReplicatedServing(t *testing.T) {
-	seeds := make([]uint64, 0, *replChaosSeeds)
-	if *replChaosSeed != 0 {
-		seeds = append(seeds, uint64(*replChaosSeed))
-	} else {
-		for i := 0; i < *replChaosSeeds; i++ {
-			seeds = append(seeds, uint64(2000+7*i))
-		}
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runReplChaosScript(t, seed)
-		})
-	}
+	chaostest.Suite{Base: 2000, Stride: 7, Count: 3}.Run(t, runReplChaosScript)
 }
 
-func runReplChaosScript(t *testing.T, seed uint64) {
-	script := &chaosScript{Seed: seed}
-	defer func() {
-		if !t.Failed() {
-			return
-		}
-		dir := os.Getenv("CHAOS_ARTIFACT_DIR")
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		_ = os.MkdirAll(dir, 0o755)
-		path := filepath.Join(dir, fmt.Sprintf("replchaos-failure-seed-%d.json", seed))
-		b, _ := json.MarshalIndent(script, "", "  ")
-		if err := os.WriteFile(path, b, 0o644); err == nil {
-			t.Logf("replchaos: failing fault script written to %s (replay with -replchaos.seed=%d)", path, seed)
-		}
-	}()
-
-	rng := mc.NewRNG(seed)
+func runReplChaosScript(t *testing.T, run *chaostest.Record) {
+	rng := mc.NewRNG(run.Seed)
 	ids := []string{"a", "b", "c"}
 	ft := newFleetTransport()
 	faults := faultinject.NewFaultTransport(ft, faultinject.NetFaults{
@@ -93,107 +49,49 @@ func runReplChaosScript(t *testing.T, seed uint64) {
 		Stall:        5 * time.Millisecond,
 	}, rng.Uint64())
 	f := newTestFleet(t, ids, ft, faults, nil)
-
-	// Every server that ever lived, for the final no-panics sweep.
-	var everyServer []*Server
-	for _, id := range ids {
-		everyServer = append(everyServer, f.server(id))
-	}
-
-	// The oracle: one standalone server, no replication, no faults,
-	// same fit configuration. Replication must be invisible in the
-	// bytes, so every fleet response is compared against it.
-	solo := newTestServer(t, func(c *Config) { c.FitSamples = 300 })
-	solo.Bootstrap()
-	oracleMemo := map[string][]byte{}
-	oracle := func(url string) []byte {
-		if b, ok := oracleMemo[url]; ok {
-			return b
-		}
-		rec, body := get(t, solo.Handler(), url)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("oracle refused %s: %d %s", url, rec.Code, body)
-		}
-		oracleMemo[url] = body
-		return body
-	}
+	ctx := context.Background()
 
 	grid := replGridURLs()
-	randomURL := func() string { return grid[rng.Intn(len(grid))] }
 	dead := "" // at most one replica down at a time
-	live := func() []string {
-		var out []string
-		for _, id := range ids {
-			if id != dead {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
 
 	for step := 0; step < 30; step++ {
 		switch p := rng.Float64(); {
 		case p < 0.55: // concurrent traffic burst against random live replicas
-			targets := live()
-			urls := make([]string, 4)
-			vias := make([]string, 4)
-			for i := range urls {
-				urls[i] = randomURL()
-				vias[i] = targets[rng.Intn(len(targets))]
-				oracle(urls[i]) // memoize serially, outside the goroutines
-			}
-			script.Steps = append(script.Steps, chaosStep{Op: "query", URLs: urls, Note: "via " + strings.Join(vias, ",")})
-			recs := make([]*httptest.ResponseRecorder, len(urls))
-			var wg sync.WaitGroup
-			for i := range urls {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					rec := httptest.NewRecorder()
-					f.handler(vias[i]).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, urls[i], nil))
-					recs[i] = rec
-				}()
-			}
-			wg.Wait()
-			for i, rec := range recs {
-				checkReplChaosResponse(t, urls[i], vias[i], rec, oracle(urls[i]))
-			}
+			f.queryBurst(t, run, rng, 4)
 		case p < 0.65: // asymmetric partition toggle
 			var blocked []string
-			for _, id := range live() {
+			for _, id := range f.live() {
 				if rng.Float64() < 0.4 {
 					blocked = append(blocked, replHost(id))
 				}
 			}
 			faults.SetPartition(blocked...)
-			script.Steps = append(script.Steps, chaosStep{Op: "set_partition", Note: strings.Join(blocked, ",")})
+			run.Step("set_partition", strings.Join(blocked, ","))
 		case p < 0.75: // breaker clock jump
 			d := time.Duration(200+rng.Intn(3000)) * time.Millisecond
 			f.clk.Advance(d)
-			script.Steps = append(script.Steps, chaosStep{Op: "advance_clock", Dur: d.String()})
+			run.Step("advance_clock", d)
 		case p < 0.85: // health-probe tick on every live replica
-			script.Steps = append(script.Steps, chaosStep{Op: "probe_tick"})
-			for _, id := range live() {
-				f.server(id).ProbePeersOnce(context.Background())
-			}
+			run.Step("probe_tick")
+			f.probeAll(ctx)
 		case p < 0.92: // periodic snapshot tick on one live replica
-			targets := live()
+			targets := f.live()
 			id := targets[rng.Intn(len(targets))]
 			err := f.server(id).SaveSnapshot()
 			note := id + ": ok"
 			if err != nil {
 				note = id + ": " + err.Error()
 			}
-			script.Steps = append(script.Steps, chaosStep{Op: "save_snapshot", Note: note})
+			run.Step("save_snapshot", note)
 		default: // kill -9 one replica, or bring the dead one back
 			if dead == "" {
-				targets := live()
+				targets := f.live()
 				dead = targets[rng.Intn(len(targets))]
 				f.kill(dead)
-				script.Steps = append(script.Steps, chaosStep{Op: "kill", Note: dead})
+				run.Step("kill", dead)
 			} else {
-				everyServer = append(everyServer, f.restart(dead))
-				script.Steps = append(script.Steps, chaosStep{Op: "restart", Note: dead})
+				f.restart(dead)
+				run.Step("restart", dead)
 				dead = ""
 			}
 		}
@@ -205,33 +103,27 @@ func runReplChaosScript(t *testing.T, seed uint64) {
 	// ------------------------------------------------- acceptance epilogue
 
 	// Heal everything: no partitions, full fleet, fresh probe round.
-	script.Steps = append(script.Steps, chaosStep{Op: "epilogue_heal"})
+	run.Step("epilogue_heal")
 	faults.SetPartition()
 	if dead != "" {
-		everyServer = append(everyServer, f.restart(dead))
+		f.restart(dead)
 		dead = ""
 	}
-	for _, id := range ids {
-		f.server(id).ProbePeersOnce(context.Background())
-	}
+	f.probeAll(ctx)
 
 	// Warm pass: the whole grid through replica a. Every answer must
 	// already be oracle-identical, faults and all.
-	script.Steps = append(script.Steps, chaosStep{Op: "epilogue_warm_pass"})
+	run.Step("epilogue_warm_pass")
 	for _, u := range grid {
-		rec, body := get(t, f.handler("a"), u)
-		if rec.Code != http.StatusOK || !bytes.Equal(body, oracle(u)) {
-			t.Fatalf("warm pass %s: code %d, oracle match %v", u, rec.Code, bytes.Equal(body, oracle(u)))
-		}
+		f.expectOracle(t, "warm pass", "a", u)
 	}
 
 	// Kill one replica and replay the full grid through the survivors:
 	// zero 5xx (zero non-200, in fact) and every body bit-identical.
 	victim := ids[rng.Intn(len(ids))]
-	script.Steps = append(script.Steps, chaosStep{Op: "epilogue_kill", Note: victim})
+	run.Step("epilogue_kill", victim)
 	f.kill(victim)
-	dead = victim
-	survivors := live()
+	survivors := f.live()
 	var victimOwned []string
 	for _, u := range grid {
 		if ownerOf(t, f.server(survivors[0]), u) == victim {
@@ -242,31 +134,20 @@ func runReplChaosScript(t *testing.T, seed uint64) {
 		t.Fatalf("ring assigned no grid keys to %s; widen the grid", victim)
 	}
 	for i, u := range grid {
-		via := survivors[i%len(survivors)]
-		rec, body := get(t, f.handler(via), u)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("outage pass %s via %s: code %d (single-replica outage must be invisible): %s", u, via, rec.Code, body)
-		}
-		if !bytes.Equal(body, oracle(u)) {
-			t.Fatalf("outage pass %s via %s: body differs from oracle", u, via)
-		}
+		f.expectOracle(t, "outage pass (a single-replica outage must be invisible)", survivors[i%len(survivors)], u)
 	}
 
 	// Restart the victim. Warm-seed must pull its owned slice back from
 	// the survivors' fallback caches, and replaying its owned URLs must
 	// be ≥90% warm — no refits for keys the fleet already knows.
-	script.Steps = append(script.Steps, chaosStep{Op: "epilogue_restart", Note: victim})
+	run.Step("epilogue_restart", victim)
 	restarted := f.restart(victim)
-	everyServer = append(everyServer, restarted)
 	if n := restarted.repl.warmSeeded.Value(); n == 0 {
 		t.Fatal("restart warm-seed restored zero models from the survivors")
 	}
 	before := restarted.cache.ModelStats()
 	for _, u := range victimOwned {
-		rec, body := get(t, f.handler(victim), u)
-		if rec.Code != http.StatusOK || !bytes.Equal(body, oracle(u)) {
-			t.Fatalf("post-restart replay %s: code %d, oracle match %v", u, rec.Code, bytes.Equal(body, oracle(u)))
-		}
+		f.expectOracle(t, "post-restart replay", victim, u)
 	}
 	after := restarted.cache.ModelStats()
 	hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
@@ -274,30 +155,66 @@ func runReplChaosScript(t *testing.T, seed uint64) {
 		t.Fatalf("post-restart warm-hit ratio %d/%d < 0.9: warm-seed did not recover the owned slice", hits, hits+misses)
 	}
 
-	// The fleet survived the whole script and no handler on any replica
-	// generation ever panicked.
-	for i, srv := range everyServer {
-		if n := srv.metrics.Panics.Value(); n != 0 {
-			t.Errorf("server %d recovered %d handler panics, want 0", i, n)
-		}
+	f.checkNoPanics(t)
+}
+
+// queryBurst sends n random grid queries at random live replicas, all
+// at once, and checks every answer with checkFleetResponse.
+func (f *testFleet) queryBurst(t *testing.T, run *chaostest.Record, rng *mc.RNG, n int) {
+	grid := replGridURLs()
+	targets := f.live()
+	urls := make([]string, n)
+	vias := make([]string, n)
+	hs := make([]http.Handler, n)
+	for i := range urls {
+		urls[i] = grid[rng.Intn(len(grid))]
+		vias[i] = targets[rng.Intn(len(targets))]
+		hs[i] = f.handler(vias[i])
+	}
+	run.Step("query", "via", strings.Join(vias, ","), urls)
+	for i, rec := range burst(urls, func(i int) http.Handler { return hs[i] }) {
+		checkFleetResponse(t, urls[i], vias[i], rec)
 	}
 }
 
-// checkReplChaosResponse enforces the per-response fleet invariant:
-// always 200, always the oracle's bytes, and any forward tag must be a
-// known outcome.
-func checkReplChaosResponse(t *testing.T, url, via string, rec *httptest.ResponseRecorder, want []byte) {
+// checkFleetResponse enforces the per-response fleet invariant: always
+// 200, always the oracle's bytes, and any forward tag a known outcome.
+func checkFleetResponse(t *testing.T, url, via string, rec *httptest.ResponseRecorder) {
 	t.Helper()
 	if rec.Code != http.StatusOK {
 		t.Errorf("GET %s via %s: status %d (fleet must never surface a fault): %s", url, via, rec.Code, rec.Body.Bytes())
 		return
 	}
-	if !bytes.Equal(rec.Body.Bytes(), want) {
-		t.Errorf("GET %s via %s: body differs from single-process oracle\n got: %s\nwant: %s", url, via, rec.Body.Bytes(), want)
+	if d := chaostest.Diff(rec.Body.Bytes(), oracleBody(t, url)); d != "" {
+		t.Errorf("GET %s via %s: body differs from single-process oracle: %s", url, via, d)
 	}
 	switch fwd := rec.Header().Get(forwardHeader); fwd {
 	case "", forwardOutcomeForwarded, forwardOutcomeFallback:
 	default:
 		t.Errorf("GET %s via %s: unknown %s value %q", url, via, forwardHeader, fwd)
+	}
+}
+
+// expectOracle GETs url through replica via and stops the test unless
+// the answer is a 200 carrying the oracle's bytes.
+func (f *testFleet) expectOracle(t *testing.T, event, via, url string) {
+	t.Helper()
+	rec, body := get(t, f.handler(via), url)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s: GET %s via %s: code %d: %s", event, url, via, rec.Code, body)
+	}
+	if d := chaostest.Diff(body, oracleBody(t, url)); d != "" {
+		t.Fatalf("%s: GET %s via %s: body differs from single-process oracle: %s", event, url, via, d)
+	}
+}
+
+// checkNoPanics asserts that no handler on any replica generation ever
+// panicked.
+func (f *testFleet) checkNoPanics(t *testing.T) {
+	t.Helper()
+	for i, srv := range f.every {
+		if n := srv.metrics.Panics.Value(); n != 0 {
+			t.Errorf("replica generation %d recovered %d handler panics, want 0", i, n)
+		}
 	}
 }

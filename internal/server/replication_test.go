@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,101 +69,104 @@ func (f *fleetTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// testFleet is an in-process replica fleet sharing one routing
-// transport, one hand-advanced breaker clock and per-replica MemFS
-// snapshot stores that survive kill/restart.
+// testFleet is an in-process replica fleet. Every replica boots from a
+// membership document and shares one routing transport, one peer
+// client and one hand-advanced breaker clock; a replica given a MemFS
+// snapshot store keeps it across kill and restart.
 type testFleet struct {
 	t       testing.TB
-	ids     []string
 	ft      *fleetTransport
 	client  *http.Client
 	clk     *faultinject.Clock
-	servers map[string]*Server
-	fss     map[string]*faultinject.MemFS
+	doc     Membership                    // the document restarts boot from
+	servers map[string]*Server            // live replicas
+	every   []*Server                     // every replica generation, for the no-panic sweeps
+	fss     map[string]*faultinject.MemFS // snapshot stores
 	mutate  func(id string, c *Config)
 }
 
-// newTestFleet builds (and starts) a fleet over ids. clientRT is the
-// peer-client transport — pass ft itself for a clean network or a
-// FaultTransport wrapping it for chaos. mutate tweaks each replica's
-// config before start.
+// newTestFleet boots the static fleet ids: each replica boots from the
+// epoch-0 document of ids, with a snapshot store. Replicas added later
+// through boot get no store. clientRT is the peer-client transport —
+// ft itself for a clean network or a FaultTransport wrapping it for
+// chaos. mutate tweaks each replica's config before it boots.
 func newTestFleet(t testing.TB, ids []string, ft *fleetTransport, clientRT http.RoundTripper, mutate func(string, *Config)) *testFleet {
 	t.Helper()
 	f := &testFleet{
 		t:       t,
-		ids:     ids,
 		ft:      ft,
 		client:  &http.Client{Transport: clientRT},
 		clk:     faultinject.NewClock(time.Time{}),
+		doc:     fleetMembers(0, ids...),
 		servers: map[string]*Server{},
 		fss:     map[string]*faultinject.MemFS{},
 		mutate:  mutate,
 	}
 	for _, id := range ids {
 		f.fss[id] = faultinject.NewMemFS()
-	}
-	for _, id := range ids {
-		f.start(id)
+		f.boot(id, f.doc)
 	}
 	return f
 }
 
-// start boots (or reboots) one replica: fresh Server over the replica's
-// persistent MemFS, snapshot restore via Bootstrap, handler registered
-// on the fleet. Peer warm-seeding is the caller's move (restart does it;
-// initial boot has nothing to seed from).
-func (f *testFleet) start(id string) *Server {
+// boot starts replica id from membership document doc: a fresh Server
+// (over its snapshot store, if it has one) with the test library,
+// Bootstrap's snapshot restore, and its handler on the fleet network.
+// Peer warm-seeding is the caller's move.
+func (f *testFleet) boot(id string, doc Membership) *Server {
 	f.t.Helper()
-	var peers []Peer
-	for _, other := range f.ids {
-		if other != id {
-			peers = append(peers, Peer{ID: other, URL: replURL(other)})
-		}
-	}
+	doc = doc.clone()
 	cfg := Config{
-		FitSamples:   300,
-		Logger:       slog.New(slog.NewTextHandler(io.Discard, nil)),
-		FS:           f.fss[id],
-		SnapshotPath: "state/" + id + ".lvf2snap",
-		now:          f.clk.Now,
+		FitSamples: 300,
+		Logger:     slog.New(slog.NewTextHandler(io.Discard, nil)),
+		now:        f.clk.Now,
 		Replication: ReplicationOptions{
 			SelfID:          id,
-			Peers:           peers,
+			SelfURL:         replURL(id),
+			Membership:      &doc,
 			ForwardTimeout:  2 * time.Second,
 			ForwardAttempts: 2,
 			RetryBase:       time.Millisecond,
-			ProbeInterval:   time.Hour, // probes are driven explicitly
+			ProbeInterval:   time.Hour, // loops are driven explicitly
 			Breaker:         BreakerOptions{FailureThreshold: 3, OpenBase: time.Second, JitterSeed: 1},
 			Client:          f.client,
 		},
+	}
+	if fs := f.fss[id]; fs != nil {
+		cfg.FS, cfg.SnapshotPath = fs, "state/"+id+".lvf2snap"
 	}
 	if f.mutate != nil {
 		f.mutate(id, &cfg)
 	}
 	s := New(cfg)
+	if s.repl == nil {
+		f.t.Fatalf("replica %s: membership boot failed", id)
+	}
 	if _, err := s.AddLibrary("testlib", testLibText(f.t, "testlib")); err != nil {
 		f.t.Fatal(err)
 	}
 	s.Bootstrap()
 	f.servers[id] = s
+	f.every = append(f.every, s)
 	f.ft.set(replHost(id), s.Handler())
 	return s
 }
 
 // kill models kill -9: the replica vanishes from the network without
-// saving anything. Its MemFS (and whatever snapshot it last saved)
-// survives for the next start.
+// saving anything. Its snapshot store (and whatever snapshot it last
+// saved) survives for the next boot.
 func (f *testFleet) kill(id string) {
 	f.ft.set(replHost(id), nil)
 	delete(f.servers, id)
 }
 
-// restart boots a killed replica and runs the recovery protocol:
-// snapshot restore (Bootstrap, inside start), peer warm-seed of owned
-// keys, and a probe round so the replica sees its live peers.
+// restart boots a killed replica from the fleet document and runs the
+// recovery protocol: snapshot restore (Bootstrap, inside boot), peer
+// warm-seed of owned keys, and a probe round so the replica sees its
+// live peers.
 func (f *testFleet) restart(id string) *Server {
 	f.t.Helper()
-	s := f.start(id)
+	s := f.boot(id, f.doc)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	s.WarmSeedFromPeers(ctx)
@@ -181,14 +186,62 @@ func (f *testFleet) server(id string) *Server {
 func (f *testFleet) handler(id string) http.Handler {
 	f.ft.mu.Lock()
 	defer f.ft.mu.Unlock()
-	h := f.handlers()[replHost(id)]
+	h := f.ft.handlers[replHost(id)]
 	if h == nil {
 		f.t.Fatalf("fleet: replica %s is dead", id)
 	}
 	return h
 }
 
-func (f *testFleet) handlers() map[string]http.Handler { return f.ft.handlers }
+// live lists the live replicas in ID order.
+func (f *testFleet) live() []string {
+	ids := make([]string, 0, len(f.servers))
+	for id := range f.servers {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// probeAll runs one probe round on every live replica.
+func (f *testFleet) probeAll(ctx context.Context) {
+	for _, id := range f.live() {
+		f.server(id).ProbePeersOnce(ctx)
+	}
+}
+
+// soloOracle is the single-process reference every fleet answer must
+// match byte for byte: one standalone server with the fleet's fit
+// configuration and no replication or faults. Its fits are
+// deterministic, so one server and one memo of its answers serve every
+// test in the binary.
+var soloOracle struct {
+	once sync.Once
+	h    http.Handler
+	mu   sync.Mutex
+	memo map[string][]byte
+}
+
+// oracleBody is the single-process oracle's answer to url.
+func oracleBody(t testing.TB, url string) []byte {
+	t.Helper()
+	soloOracle.once.Do(func() {
+		solo := newTestServer(t, func(c *Config) { c.FitSamples = 300 })
+		solo.Bootstrap()
+		soloOracle.h, soloOracle.memo = solo.Handler(), map[string][]byte{}
+	})
+	soloOracle.mu.Lock()
+	defer soloOracle.mu.Unlock()
+	if b, ok := soloOracle.memo[url]; ok {
+		return b
+	}
+	rec, body := get(t, soloOracle.h, url)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("oracle refused %s: %d %s", url, rec.Code, body)
+	}
+	soloOracle.memo[url] = body
+	return body
+}
 
 // ownerOf resolves the ring owner of one arc-query URL as seen by s.
 func ownerOf(t testing.TB, s *Server, rawURL string) string {
@@ -413,10 +466,7 @@ func TestForwardChecksumGuard(t *testing.T) {
 	}
 	// The answer is the honest local compute, identical to a standalone
 	// server's.
-	solo := newTestServer(t, func(c *Config) { c.FitSamples = 300 })
-	solo.Bootstrap()
-	_, soloBody := get(t, solo.Handler(), url)
-	if string(body) != string(soloBody) {
+	if !bytes.Equal(body, oracleBody(t, url)) {
 		t.Fatal("fallback body differs from standalone compute")
 	}
 }

@@ -247,9 +247,6 @@ func (s *Server) SaveSnapshot() error {
 	return nil
 }
 
-// Ready reports whether Bootstrap has completed.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
 // Cache exposes the model cache (used by benchmarks to force cold paths).
 func (s *Server) Cache() *modelcache.Cache { return s.cache }
 

@@ -125,16 +125,3 @@ func CentralMoment(d Dist, k int) float64 {
 		return math.Pow(x-m, float64(k)) * d.PDF(x)
 	}, lo, hi, 24)
 }
-
-// RawMoment integrates x^k d.PDF(x) dx numerically (support truncated to
-// mean ± 12 standard deviations, floored at lo if floorAtZero).
-func RawMoment(d Dist, k int, floorAtZero bool) float64 {
-	m, s := d.Mean(), Std(d)
-	lo, hi := m-12*s, m+12*s
-	if floorAtZero && lo < 0 {
-		lo = 0
-	}
-	return integrate(func(x float64) float64 {
-		return math.Pow(x, float64(k)) * d.PDF(x)
-	}, lo, hi, 24)
-}

@@ -153,21 +153,6 @@ func (a *MomentAccumulator) Moments() SampleMoments {
 	return sm
 }
 
-// WeightedMomentsPivot is the single-pass variant of WeightedMoments: one
-// fused traversal accumulating pivot-shifted power sums. The two agree to
-// floating-point conditioning; prefer a pivot near the weighted mean.
-func WeightedMomentsPivot(xs, ws []float64, pivot float64) SampleMoments {
-	if len(xs) != len(ws) || len(xs) == 0 {
-		return SampleMoments{}
-	}
-	var a MomentAccumulator
-	a.Reset(pivot)
-	for i, x := range xs {
-		a.AddWeighted(x, ws[i])
-	}
-	return a.Moments()
-}
-
 // Cumulants4 converts moments to the first four cumulants
 // (κ₁, κ₂, κ₃, κ₄). Cumulants of independent sums add.
 func (s SampleMoments) Cumulants4() (k1, k2, k3, k4 float64) {

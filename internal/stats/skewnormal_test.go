@@ -103,6 +103,17 @@ func TestSNFromMomentsZeroSigma(t *testing.T) {
 	}
 }
 
+// TestSkewNormalCDFDegenerate: ω ≤ 0 is a point mass at ξ, so the CDF
+// is a step there.
+func TestSkewNormalCDFDegenerate(t *testing.T) {
+	s := SkewNormal{Xi: 1, Omega: 0, Alpha: 2}
+	for _, c := range []struct{ x, want float64 }{{0.5, 0}, {1, 1}, {1.5, 1}} {
+		if got := s.CDF(c.x); got != c.want {
+			t.Errorf("CDF(%v) = %v, want %v (step at Xi)", c.x, got, c.want)
+		}
+	}
+}
+
 func TestSkewNormalSampleMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := SkewNormal{Xi: 0, Omega: 1, Alpha: 5}
