@@ -23,8 +23,10 @@ vet:
 test:
 	$(GO) test ./...
 
+# The seeded chaos suites (TestChaos*) are skipped here: `make chaos`
+# runs them under -race, their default seeds among its CHAOS_SEEDS.
 race:
-	$(GO) test -race -timeout 20m ./...
+	$(GO) test -race -timeout 20m -skip '^TestChaos' ./...
 
 # Allocation-budget regression tests (testing.AllocsPerRun; skipped under
 # -race, so they get their own invocation): the fitters' warm workspaces,

@@ -118,19 +118,31 @@ func CDFRMSE(model stats.Dist, e *stats.Empirical, maxPoints int) float64 {
 	return math.Sqrt(s / float64(cnt))
 }
 
+// zeroErr is the error magnitude at and below which ErrorReduction
+// counts an error as exactly zero. The errors are probability differences
+// against an empirical CDF, which resolves only steps of 1/n — far larger
+// than this — so a smaller error is floating-point noise (a saturated 3σ
+// yield reads 0 or 1.1e-16 depending on the last bit of a fit) and must
+// not decide a ratio.
+const zeroErr = 1e-12
+
 // ErrorReduction is eq. (12): |baseline − golden| / |result − golden|
-// expressed on already-computed error magnitudes. A zero result error
-// yields +Inf, except that two exactly-zero errors compare as 1 (both
-// models are perfect, e.g. saturated yields); callers that aggregate
-// should use Cap.
+// expressed on already-computed error magnitudes. Errors of at most
+// zeroErr count as zero. A zero result error yields +Inf, except that two
+// zero errors compare as 1 (both models are perfect, e.g. saturated
+// yields); callers that aggregate should use Cap.
 func ErrorReduction(baselineErr, resultErr float64) float64 {
-	if resultErr == 0 {
-		if baselineErr == 0 {
+	b, r := math.Abs(baselineErr), math.Abs(resultErr)
+	if b <= zeroErr {
+		b = 0
+	}
+	if r <= zeroErr {
+		if b == 0 {
 			return 1
 		}
 		return math.Inf(1)
 	}
-	return math.Abs(baselineErr) / math.Abs(resultErr)
+	return b / r
 }
 
 // Cap limits an error-reduction ratio so a single near-perfect fit cannot

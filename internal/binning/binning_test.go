@@ -124,6 +124,23 @@ func TestErrorReductionAndCap(t *testing.T) {
 	if got := ErrorReduction(0, 0.5); got != 0 {
 		t.Errorf("zero baseline vs nonzero result must be 0, got %v", got)
 	}
+	// Errors of at most 1e-12 are floating-point noise and count as zero:
+	// a saturated yield's 1.1e-16 must not turn a tie into +Inf (100×
+	// after Cap).
+	for _, c := range []struct{ base, res, want float64 }{
+		{1.1e-16, 0, 1},
+		{1e-12, 0, 1},
+		{0, 1e-12, 1},
+		{-1.1e-16, 2e-13, 1},
+		{1.1e-16, 0.5, 0},
+		{0.2, 1e-13, math.Inf(1)},
+		{2e-12, 0, math.Inf(1)},
+		{3e-12, 1.5e-12, 2},
+	} {
+		if got := ErrorReduction(c.base, c.res); got != c.want && !(math.Abs(got-c.want) <= 1e-12*c.want) {
+			t.Errorf("ErrorReduction(%g, %g) = %v, want %v", c.base, c.res, got, c.want)
+		}
+	}
 	if Cap(math.Inf(1), 100) != 100 {
 		t.Error("cap must clip Inf")
 	}

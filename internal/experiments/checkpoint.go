@@ -32,7 +32,7 @@ func (c Config) Table1Fingerprint() checkpoint.Fingerprint {
 		Seed:       c.Seed,
 		Samples:    c.Samples,
 		GridStride: 1,
-		Options:    fmt.Sprintf("models=%v|cap=%g", c.Models, c.Cap),
+		Options:    fmt.Sprintf("models=%v|cap=%g|fit=%s", c.Models, c.Cap, fit.Revision),
 	}
 }
 
@@ -44,7 +44,7 @@ func (c Table2Config) Table2Fingerprint() checkpoint.Fingerprint {
 		Seed:       c.Seed,
 		Samples:    c.Samples,
 		GridStride: c.GridStride,
-		Options:    fmt.Sprintf("models=%v|cap=%g", fit.AllModels, c.Cap),
+		Options:    fmt.Sprintf("models=%v|cap=%g|fit=%s", fit.AllModels, c.Cap, fit.Revision),
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -161,6 +162,19 @@ func TestTable1FingerprintSensitivity(t *testing.T) {
 	c := Config{Samples: 100, Seed: 9}.Table1Fingerprint()
 	if a == c {
 		t.Error("seed not part of the Table 1 fingerprint")
+	}
+}
+
+// TestFingerprintsNameFitRevision: journaled rows hold error reductions
+// of fitted models, so a journal from other fit numerics must not resume.
+func TestFingerprintsNameFitRevision(t *testing.T) {
+	for name, fp := range map[string]checkpoint.Fingerprint{
+		"table1": Config{}.Table1Fingerprint(),
+		"table2": Table2Config{}.Table2Fingerprint(),
+	} {
+		if !strings.HasSuffix(fp.Options, "|fit="+fit.Revision) {
+			t.Errorf("%s fingerprint options %q do not name fit revision %q", name, fp.Options, fit.Revision)
+		}
 	}
 }
 

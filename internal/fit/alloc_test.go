@@ -4,6 +4,8 @@ package fit
 
 import (
 	"testing"
+
+	"lvf2/internal/stats"
 )
 
 // allocBudget is the steady-state heap-allocation ceiling for one warm
@@ -48,5 +50,26 @@ func TestFitNorm2AllocBudget(t *testing.T) {
 	})
 	if avg > allocBudget {
 		t.Fatalf("fitNorm2 allocates %.1f times per warm fit, budget %d", avg, allocBudget)
+	}
+}
+
+// TestWeightedSNMLEAllocBudget: a steady-state M-step call, its scratch
+// already grown, allocates nothing — including a call that ends near
+// α = 0 and runs the two restarts.
+func TestWeightedSNMLEAllocBudget(t *testing.T) {
+	xs := determinismSamples(t, 3000, 1234)
+	ws := make([]float64, len(xs))
+	for i := range ws {
+		ws[i] = 0.25 + 0.5*float64(i%3)
+	}
+	var scr mleScratch
+	for _, init := range []stats.SkewNormal{
+		{Xi: 0.105, Omega: 0.012, Alpha: 2},
+		{Xi: 0.11, Omega: 0.01, Alpha: 0},
+	} {
+		weightedSNMLE(xs, ws, init, &scr)
+		if avg := testing.AllocsPerRun(10, func() { weightedSNMLE(xs, ws, init, &scr) }); avg != 0 {
+			t.Errorf("weightedSNMLE from %+v allocates %.1f times per steady-state call, want 0", init, avg)
+		}
 	}
 }

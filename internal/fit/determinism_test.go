@@ -2,6 +2,7 @@ package fit
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"lvf2/internal/mc"
@@ -76,12 +77,34 @@ func TestFitLVF2ParallelDeterminism(t *testing.T) {
 // TestFitLVF2Golden pins the exact fitted parameters at a fixed seed, so a
 // change that silently perturbs the numerics (reordering reductions,
 // altering tolerances) is caught even when the fit stays statistically
-// fine. Values were produced by this implementation; equality is bitwise.
+// fine. The pinned bits are those of the Newton M-step at Revision
+// "mstep-newton"; equality is bitwise. They are checked on amd64 only:
+// elsewhere Go may fuse multiply-adds, which moves last bits, so other
+// architectures check repeatability alone. A change that moves these bits
+// must change Revision too.
 func TestFitLVF2Golden(t *testing.T) {
 	xs := determinismSamples(t, 2000, 424242)
 	a, err := FitLVF2(xs, Options{Serial: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if runtime.GOARCH == "amd64" {
+		want := [8]uint64{
+			0x3fd62df760d21e19, // λ  0.3465555615916585
+			0x3fb8592c7a05b8c3, // ξ₁ 0.09511068324147502
+			0x3f794b4b81004722, // ω₁ 0.0061753224727157125
+			0x400fc013ed13bec0, // α₁ 3.9687880059862835
+			0x3fbfa730f94a75ab, // ξ₂ 0.12364488683893764
+			0x3f7d0055d0e30bf5, // ω₂ 0.007080397814379848
+			0x3ff5f24616009c3f, // α₂ 1.3716488704174166
+			0x40baab9c332a8dc0, // LogLik 6827.610155734641
+		}
+		got := [8]float64{a.Lambda, a.C1.Xi, a.C1.Omega, a.C1.Alpha, a.C2.Xi, a.C2.Omega, a.C2.Alpha, a.LogLik}
+		for i, v := range got {
+			if math.Float64bits(v) != want[i] {
+				t.Errorf("golden value %d = %v (%#016x), want %v (%#016x)", i, v, math.Float64bits(v), math.Float64frombits(want[i]), want[i])
+			}
+		}
 	}
 	b, err := FitLVF2(xs, Options{Serial: true})
 	if err != nil {

@@ -10,6 +10,8 @@
 //   - LVF²: the paper's contribution — a two-component skew-normal mixture
 //     fitted by EM (§3.2): K-means + method-of-moments initialisation,
 //     posterior-responsibility E-step (eq. 6), and a weighted
-//     method-of-moments M-step with an optional maximum-likelihood polish
-//     via Nelder–Mead on the full 7-parameter log-likelihood (eq. 5).
+//     method-of-moments M-step, finished by ECM rounds whose M-step is an
+//     exact weighted skew-normal MLE solved by Newton's method, with an
+//     optional maximum-likelihood polish via Nelder–Mead on the full
+//     7-parameter log-likelihood (eq. 5).
 package fit

@@ -219,11 +219,12 @@ func fitLVF2Cold(xs []float64, o Options, fw *Workspace) (LVF2Result, error) {
 
 // ecmRefine runs `rounds` of expectation–conditional-maximisation: the
 // E-step of eq. (6) followed by an exact weighted maximum-likelihood
-// update of each skew-normal component (Nelder–Mead over (ξ, log ω, α),
-// warm-started at the current parameters). The two component updates are
-// independent given the responsibilities, so the parallel path runs them
-// concurrently (each on its own mleScratch half). The result is kept only
-// if the final log-likelihood improves on the input.
+// update of each skew-normal component (weightedSNMLE's Newton solve over
+// (ξ, log ω, α), warm-started at the current parameters). The two
+// component updates are independent given the responsibilities, so the
+// parallel path runs them concurrently (each on its own mleScratch half).
+// The result is kept only if the final log-likelihood improves on the
+// input.
 func ecmRefine(xs []float64, r LVF2Result, rounds int, fw *Workspace, par bool) LVF2Result {
 	if r.IsDegenerate() || r.Lambda > 1-1e-6 || r.C1.Omega <= 0 || r.C2.Omega <= 0 {
 		return r
@@ -295,61 +296,6 @@ func mixLogLik(xs []float64, lambda float64, c1, c2 stats.SkewNormal) float64 {
 		ll += math.Log(t)
 	}
 	return ll
-}
-
-// maxObjPoints caps the weighted-MLE objective subsample. The optimum of
-// the subsampled likelihood is statistically indistinguishable at this
-// precision (parameter noise ~σ/√maxObjPoints, far below the metric
-// resolution), and every ECM candidate is accepted only after re-scoring
-// on the full data.
-const maxObjPoints = 2048
-
-// weightedSNMLE maximises Σ wᵢ log f_SN(xᵢ) over (ξ, log ω, α) from a warm
-// start. For large samples the objective is evaluated on a strided
-// subsample; points with negligible weight are dropped at build time so
-// the simplex inner loop is branch-free over contributing points only.
-func weightedSNMLE(xs, ws []float64, init stats.SkewNormal, scr *mleScratch) stats.SkewNormal {
-	if init.Omega <= 0 {
-		return init
-	}
-	if scr == nil {
-		scr = &mleScratch{}
-	}
-	stride := 1
-	if len(xs) > maxObjPoints {
-		stride = (len(xs) + maxObjPoints - 1) / maxObjPoints
-	}
-	scr.subX = scr.subX[:0]
-	scr.subW = scr.subW[:0]
-	var wsum float64
-	for i := 0; i < len(xs); i += stride {
-		if w := ws[i]; w > 1e-12 {
-			scr.subX = append(scr.subX, xs[i])
-			scr.subW = append(scr.subW, w)
-			wsum += w
-		}
-	}
-	if len(scr.subX) == 0 {
-		return init
-	}
-	scr.wsum = wsum
-	if scr.obj == nil {
-		scr.obj = scr.objective
-	}
-	scr.x0 = [3]float64{init.Xi, math.Log(init.Omega), init.Alpha}
-	best, nll := opt.NelderMeadWs(scr.obj, scr.x0[:], opt.NelderMeadOptions{
-		MaxIter: 100,
-		// The objective scales with the total weight, so an absolute spread
-		// tolerance must too: 1e-9 per unit weight is ~1e-9 log-likelihood
-		// per point — far below sampling noise, well past the precision the
-		// full-data acceptance check downstream can distinguish.
-		TolF: 1e-9 * (1 + wsum),
-		TolX: 1e-8,
-	}, &scr.nm)
-	if math.IsInf(nll, 1) {
-		return init
-	}
-	return stats.SkewNormal{Xi: best[0], Omega: math.Exp(best[1]), Alpha: best[2]}
 }
 
 // lvf2Init is one EM starting point.

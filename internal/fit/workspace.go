@@ -1,7 +1,6 @@
 package fit
 
 import (
-	"math"
 	"slices"
 	"sync"
 
@@ -12,7 +11,7 @@ import (
 // Workspace holds every scratch buffer one EM/ECM fit needs —
 // responsibilities, complement weights, the sorted copy used by the
 // initialisation splits, k-means assignments, the per-component MLE
-// scratch (subsample + simplex buffers) and the multi-start result slots
+// scratch (the weight-filtered subsample) and the multi-start result slots
 // — so a steady-state FitLVF2Ws/fitNorm2 call performs no heap
 // allocations. A Workspace is not safe for concurrent use, but the two
 // mleScratch halves may be driven by two goroutines at once (the parallel
@@ -52,39 +51,6 @@ func (fw *Workspace) grow(n int) {
 // (the experiment pipelines fit thousands of distributions through the
 // generic Fit dispatch) steady-state buffer reuse for free.
 var wsPool = sync.Pool{New: func() any { return new(Workspace) }}
-
-// mleScratch is the per-component scratch of weightedSNMLE: the
-// weight-filtered subsample, the warm-start vector, the Nelder–Mead
-// buffers and the objective closure (built once so repeated calls do not
-// re-allocate it).
-type mleScratch struct {
-	subX, subW []float64
-	wsum       float64
-	x0         [3]float64
-	nm         opt.Workspace
-	obj        func([]float64) float64
-}
-
-// objective is the negative weighted log-likelihood over the retained
-// subsample: with z = (x−ξ)/ω, −log f = log ω + z²/2 − log Φ(αz) + const.
-func (s *mleScratch) objective(p []float64) float64 {
-	if math.Abs(p[2]) > 80 || p[1] > 50 || p[1] < -80 {
-		return math.Inf(1)
-	}
-	xi, logOmega, alpha := p[0], p[1], p[2]
-	invOmega := math.Exp(-logOmega)
-	var sum float64
-	subX, subW := s.subX, s.subW
-	for i, x := range subX {
-		z := (x - xi) * invOmega
-		phi := stats.StdNormCDF(alpha * z)
-		if phi < 1e-300 {
-			phi = 1e-300
-		}
-		sum += subW[i] * (0.5*z*z - math.Log(phi))
-	}
-	return sum + s.wsum*logOmega
-}
 
 // snTerm is one weighted skew-normal mixture component with the
 // per-distribution setup (1/ω, the combined weight·2/ω prefactor) hoisted

@@ -100,8 +100,9 @@ func (c Config) Fingerprint() checkpoint.Fingerprint {
 		Samples:    ch.Samples,
 		GridStride: ch.GridStride,
 		// start matters because warm and cold payloads differ: a journal
-		// written in one mode must not be resumed in the other.
-		Options: fmt.Sprintf("format=%s,start=%s", format, start),
+		// written in one mode must not be resumed in the other. fit names
+		// the fit numerics that produced the payload bits.
+		Options: fmt.Sprintf("format=%s,start=%s,fit=%s", format, start, fit.Revision),
 	}
 }
 

@@ -3,8 +3,11 @@ package libbuild
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -65,6 +68,32 @@ func openTestJournal(t *testing.T, fsys checkpoint.FS, cfg Config) *checkpoint.J
 		t.Fatalf("Open journal: %v", err)
 	}
 	return j
+}
+
+// goldenLibSHA256 is the sha256 of the testConfig() library at fit
+// Revision "mstep-newton" (it was f2790e44…4c203e11 under the simplex
+// M-step).
+const goldenLibSHA256 = "297f5a667ec8d1f3e47c054d6e01ada7f14af2cdff5c54e138216063a85042cc"
+
+// TestBuildGoldenSHA256 pins the bytes of the testConfig() library, so a
+// change that moves any fitted or emitted bit shows here and not only in
+// the by-hand library sha256 a benchmark run prints. It is pinned on
+// amd64 only: elsewhere Go may fuse multiply-adds, which moves last bits,
+// so other architectures check repeatability alone. A change that moves
+// the fitted bits must change fit.Revision too.
+func TestBuildGoldenSHA256(t *testing.T) {
+	lib, _ := buildBytes(t, context.Background(), testConfig())
+	got := fmt.Sprintf("%x", sha256.Sum256(lib))
+	if runtime.GOARCH != "amd64" {
+		again, _ := buildBytes(t, context.Background(), testConfig())
+		if !bytes.Equal(lib, again) {
+			t.Fatal("two builds of testConfig() differ")
+		}
+		return
+	}
+	if got != goldenLibSHA256 {
+		t.Fatalf("testConfig() library sha256 = %s, want %s", got, goldenLibSHA256)
+	}
 }
 
 // TestBuildGoldenKillAndResume is the package's headline guarantee: a
@@ -290,6 +319,34 @@ func TestBuildFingerprintMismatch(t *testing.T) {
 	_, err := checkpoint.Open(fsys, "ckpt", other.Fingerprint(), checkpoint.Options{})
 	if !errors.Is(err, checkpoint.ErrFingerprintMismatch) {
 		t.Fatalf("Open with changed seed = %v, want ErrFingerprintMismatch", err)
+	}
+}
+
+// TestBuildRefusesOtherFitRevision: a journal written under other fit
+// numerics — here the Options string of the simplex M-step builds, which
+// named no fit revision — holds payload bits this code would not produce,
+// so it must not resume.
+func TestBuildRefusesOtherFitRevision(t *testing.T) {
+	cfg := testConfig()
+	if !strings.HasSuffix(cfg.Fingerprint().Options, ",fit="+fit.Revision) {
+		t.Fatalf("fingerprint options %q do not name fit revision %q", cfg.Fingerprint().Options, fit.Revision)
+	}
+	old := cfg.Fingerprint()
+	old.Options = "format=lvf2,start=warm-nn"
+	fsys := faultinject.NewMemFS()
+	j, err := checkpoint.Open(fsys, "ckpt", old, checkpoint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := checkpoint.Key{Cell: "INV", Pin: "A", Arc: "INV/arc00", Kind: "delay"}
+	if err := j.Done(key, 1, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkpoint.Open(fsys, "ckpt", cfg.Fingerprint(), checkpoint.Options{}); !errors.Is(err, checkpoint.ErrFingerprintMismatch) {
+		t.Fatalf("Open over a journal of other fit numerics = %v, want ErrFingerprintMismatch", err)
 	}
 }
 

@@ -1,6 +1,9 @@
 // Package opt provides the small derivative-free optimisers used by the
 // model-fitting code: a Nelder–Mead simplex for multivariate minimisation
-// (LESN moment matching, optional LVF² MLE polish) and scalar helpers.
+// (LESN and LN/LSN moment matching, the optional 7-parameter LVF² MLE
+// polish) and scalar helpers. The ECM M-step's 3-parameter weighted
+// skew-normal MLE is not among them: its derivatives are analytic, and
+// internal/fit solves it by Newton's method.
 package opt
 
 import (
