@@ -80,18 +80,19 @@ bench-smoke:
 check: vet build race allocbudget determinism chaos bench-smoke
 
 # Short fuzz pass over the Liberty/netlist parsers, the journaled
-# work-unit payload decoder, the lvf2d arc-query parse step and the
-# membership document parser.
+# work-unit payload decoder, the model-cache snapshot decoder, the lvf2d
+# arc-query parse step and the membership document parser.
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s -run '^$$' ./internal/liberty/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s -run '^$$' ./internal/liberty/
 	$(GO) test -fuzz FuzzParseNetlist -fuzztime 30s -run '^$$' ./internal/netlist/
 	$(GO) test -fuzz FuzzDecodeUnit -fuzztime 30s -run '^$$' ./internal/libbuild/
+	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s -run '^$$' ./internal/modelcache/
 	$(GO) test -fuzz FuzzArcQuery -fuzztime 30s -run '^$$' ./internal/server/
 	$(GO) test -fuzz FuzzParseMembership -fuzztime 30s -run '^$$' ./internal/server/
 
 # Micro benchmarks with memory stats, exported as BENCH_fit.json evidence.
-BENCH_FILTER = BenchmarkFit|BenchmarkSNCDF|BenchmarkOwenT|BenchmarkQuantileGrid|BenchmarkMaxMoments|BenchmarkCharacterizeArc|BenchmarkSSTASum|BenchmarkLibertyParse
+BENCH_FILTER = BenchmarkFit|BenchmarkSNCDF|BenchmarkOwenT|BenchmarkStdNormQuantile|BenchmarkQuantileGrid|BenchmarkMaxMoments|BenchmarkCharacterizeArc|BenchmarkSSTASum|BenchmarkLibertyParse
 
 bench:
 	$(GO) test -bench '$(BENCH_FILTER)' -benchmem -count 3 -run '^$$' -timeout 30m . \

@@ -373,6 +373,24 @@ func BenchmarkOwenT(b *testing.B) {
 	}
 }
 
+// BenchmarkStdNormQuantile measures Φ⁻¹ per call, the per-coordinate
+// cost of every Latin-hypercube sample: 1024 midpoints of a uniform p
+// grid (85% of them in the rational centre) plus 32 lower-tail points
+// from 1e-300 to 1e-3 and 32 upper-tail points from 1 − 2⁻¹⁰ to 1 − 2⁻⁵³.
+func BenchmarkStdNormQuantile(b *testing.B) {
+	ps := make([]float64, 0, 1024+64)
+	for j := 0; j < 1024; j++ {
+		ps = append(ps, (float64(j)+0.5)/1024)
+	}
+	for j := 0; j < 32; j++ {
+		ps = append(ps, math.Pow(10, -300+float64(j)*297/31), 1-math.Pow(2, -10-float64(j)*43/31))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += stats.StdNormQuantile(ps[i%len(ps)])
+	}
+}
+
 // benchLVF2 is an LVF² model whose second mode sits 4.5σ above the first.
 func benchLVF2() Model {
 	return Model{

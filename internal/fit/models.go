@@ -7,13 +7,16 @@ import (
 	"lvf2/internal/stats"
 )
 
-// Revision names the revision of the fit numerics: the bits every fitter
-// returns for a given sample. Checkpoint journals store fitted payload
-// bits and warm-start seeds chain from them, so resumable pipelines put
-// Revision in their journal fingerprints, and a journal written under
-// other numerics is refused instead of mixed into a new build. Change it
-// whenever a fitter's output bits change.
-const Revision = "mstep-newton"
+// Revision names the revision of the numerics behind a journaled unit:
+// the bits it holds for a given configuration, that is, the samples the
+// Monte-Carlo layer draws (through stats.StdNormQuantile) and the bits
+// every fitter returns for them. Checkpoint journals store fitted
+// payload bits and warm-start seeds chain from them, so resumable
+// pipelines put Revision in their journal fingerprints, and a journal
+// written under other numerics is refused instead of mixed into a new
+// build. Change it whenever a drawn sample's or a fitter's output bits
+// change.
+const Revision = "mstep-newton+as241"
 
 // Model enumerates the statistical timing models under comparison.
 type Model int

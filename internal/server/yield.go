@@ -255,7 +255,7 @@ func (s *Server) estimateNetlistYield(ctx context.Context, res *sta.Result, mod 
 	if !relFinite {
 		hw = 1
 	}
-	combined.StdErr = hw / zScore95(combined.CILevel)
+	combined.StdErr = hw / yield.ZScore(combined.CILevel)
 	combined.Variance = combined.StdErr * combined.StdErr
 	combined.CILo = math.Max(0, combined.FailProb-hw)
 	combined.CIHi = math.Min(1, combined.FailProb+hw)
@@ -264,11 +264,4 @@ func (s *Server) estimateNetlistYield(ctx context.Context, res *sta.Result, mod 
 		combined.RelHalfWidth = &rel
 	}
 	return combined, nil
-}
-
-// zScore95 is the two-sided normal critical value of the level (the
-// yield package computes the same internally; the netlist combiner needs
-// it to back out a standard error from a propagated half-width).
-func zScore95(level float64) float64 {
-	return stats.StdNormQuantile(0.5 + level/2)
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -34,6 +35,82 @@ func TestStdNormQuantileRoundTrip(t *testing.T) {
 		x := StdNormQuantile(p)
 		if got := StdNormCDF(x); !almostEqual(got, p, 1e-11) {
 			t.Errorf("CDF(Quantile(%v)) = %v", p, got)
+		}
+	}
+}
+
+// bigStdNormQuantile is the 256-bit root of Φ(x) = p by Newton on the
+// residual Φ(x) − p, started from x0. Its error after a step s is about
+// |x|s²/2, so it stops once |s| < 2⁻¹²⁰·max(1, |x|), leaving x within
+// 2⁻²⁰⁰ of the root for |x| < 40. It reports false if the steps do not
+// fall that far.
+func bigStdNormQuantile(p, x0 float64) (*big.Float, bool) {
+	x, target := bf(x0), bf(p)
+	for i := 0; i < 50; i++ {
+		step := bigQuo(bigSub(bigPhi(x), target), bigPhiDensity(x))
+		x = bigSub(x, step)
+		if step.Sign() == 0 || step.MantExp(nil) < max(x.MantExp(nil), 1)-120 {
+			return x, true
+		}
+	}
+	return x, false
+}
+
+// TestStdNormQuantileOracle pins Φ⁻¹ against the 256-bit reference:
+// |ΔQ| ≤ 1e-15·max(1, |Q|) on log-spaced p from 1e-300 to ½, on upper
+// tail points u whose complement 1 − u is exact (down to 1 − u = 2⁻⁵³),
+// and on a uniform grid; and Q(1 − p) = −Q(p) bit for bit wherever
+// 1 − p is exact. A round trip Φ(Q(p)) ≈ p cannot see an error in x
+// where φ(x) is tiny, so the reference is solved in x.
+func TestStdNormQuantileOracle(t *testing.T) {
+	var ps []float64
+	const nLog = 600
+	for i := 0; i < nLog; i++ { // lower tail and centre
+		ps = append(ps, math.Pow(10, -300+float64(i)*(300-math.Log10(2))/(nLog-1)))
+	}
+	const nComp = 300
+	for i := 0; i < nComp; i++ { // upper tail, from 1 − 2⁻¹ to 1 − 2⁻⁵³
+		ps = append(ps, 1-math.Pow(2, -53+float64(i)*52/(nComp-1)))
+	}
+	const nUniform = 400
+	for i := 0; i < nUniform; i++ {
+		ps = append(ps, (float64(i)+0.5)/nUniform)
+	}
+	var worst, worstP float64
+	for _, p := range ps {
+		got := StdNormQuantile(p)
+		if math.IsNaN(got) || math.IsInf(got, 0) {
+			t.Fatalf("Φ⁻¹(%v) = %v", p, got)
+		}
+		// The reference for u > ½ is −Q(1 − u): 1 − u is exact there,
+		// and the lower-tail residual keeps its relative precision.
+		lo, sign := p, 1.0
+		if p > 0.5 {
+			lo, sign = 1-p, -1
+		}
+		ref, ok := bigStdNormQuantile(lo, sign*got)
+		if !ok {
+			t.Fatalf("reference Newton for Φ⁻¹(%v) did not converge", lo)
+		}
+		d, _ := bigSub(bf(got), bigMul(bf(sign), ref)).Float64()
+		tol := 1e-15 * math.Max(1, math.Abs(got))
+		if rel := math.Abs(d) / tol; rel > worst {
+			worst, worstP = rel, p
+		}
+		if math.Abs(d) > tol {
+			t.Errorf("Φ⁻¹(%v) = %v, off the reference by %.3g (bound %.3g)", p, got, d, tol)
+		}
+	}
+	t.Logf("worst error %.3g of the bound, at p = %v", worst, worstP)
+
+	// p = ½ is its own complement, and Q(½) is +0.
+	for i := 1; i < 100000; i++ {
+		for _, p := range []float64{float64(i) / 100000, math.Pow(2, -53*float64(i)/100000)} {
+			if c := 1 - p; 1-c == p && p != 0.5 {
+				if q, qc := StdNormQuantile(p), StdNormQuantile(c); math.Float64bits(qc) != math.Float64bits(-q) {
+					t.Fatalf("Φ⁻¹(1 − %v) = %v, want −Φ⁻¹(%v) = %v bit for bit", p, qc, p, -q)
+				}
+			}
 		}
 	}
 }

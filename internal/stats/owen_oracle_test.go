@@ -91,11 +91,11 @@ func bigQ(h *big.Float) *big.Float {
 }
 
 // bigPhi is Φ(z).
-func bigPhi(z float64) *big.Float {
-	if z < 0 {
-		return bigQ(bf(-z))
+func bigPhi(z *big.Float) *big.Float {
+	if z.Sign() < 0 {
+		return bigQ(bf(0).Neg(z))
 	}
-	return bigSub(bf(1), bigQ(bf(z)))
+	return bigSub(bf(1), bigQ(z))
 }
 
 // bigOwenT is T(h, a) for h ≥ 0 and a > 0 (a = +Inf allowed).
@@ -197,7 +197,7 @@ func TestOwenTTailOracle(t *testing.T) {
 	as := []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 1, 1.2, 1.5, 2, 3, 5, 10, 20, 40, math.Inf(1)}
 	var worstAbs, worstRel, worstCDF float64
 	for _, h := range hs {
-		phiPos, phiNeg := bigPhi(h), bigPhi(-h)
+		phiPos, phiNeg := bigPhi(bf(h)), bigPhi(bf(-h))
 		for _, a := range as {
 			ref := bigOwenT(bf(h), a)
 			want, _ := ref.Float64()

@@ -203,8 +203,9 @@ func (a *acc) observe(w float64, failed bool) {
 	}
 }
 
-// zScore is the two-sided standard-normal critical value of the level.
-func zScore(level float64) float64 {
+// ZScore is the two-sided standard-normal critical value of the level:
+// a CI half-width is ZScore(level) standard errors.
+func ZScore(level float64) float64 {
 	return stats.StdNormQuantile(0.5 + level/2)
 }
 
@@ -252,7 +253,7 @@ func (a *acc) result(name string, c Contract, searchEvals int, shift []float64) 
 		r.Variance = s2 / n
 		r.StdErr = math.Sqrt(r.Variance)
 	}
-	hw := zScore(c.Level) * r.StdErr
+	hw := ZScore(c.Level) * r.StdErr
 	r.HalfWidth = hw
 	r.CI.Lo = math.Max(0, pf-hw)
 	r.CI.Hi = math.Min(1, pf+hw)
@@ -327,7 +328,7 @@ func ProjectedSamples(r Result, c Contract) float64 {
 	}
 	// n ≈ (z/ε)² · Var₁/p² with Var₁ the single-sample variance
 	// n·StdErr².
-	z := zScore(c.Level)
+	z := ZScore(c.Level)
 	var1 := float64(r.Samples-r.SearchEvals) * r.Variance
 	if var1 <= 0 {
 		// Plain-MC Bernoulli fallback: Var₁ = p(1−p).

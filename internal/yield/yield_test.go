@@ -272,7 +272,7 @@ func TestProjectedSamples(t *testing.T) {
 	}
 	proj := ProjectedSamples(partial, Contract{})
 	// Analytic requirement: (z/ε)²(1−p)/p ≈ 2.8e7 at 3σ.
-	want := math.Pow(zScore(0.95)/0.01, 2) * (1 - stats.StdNormCDF(-3)) / stats.StdNormCDF(-3)
+	want := math.Pow(ZScore(0.95)/0.01, 2) * (1 - stats.StdNormCDF(-3)) / stats.StdNormCDF(-3)
 	if proj < want/3 || proj > want*3 {
 		t.Errorf("projected MC samples %.3g, want within 3x of analytic %.3g", proj, want)
 	}
