@@ -81,7 +81,8 @@ check: vet build race allocbudget determinism chaos bench-smoke
 
 # Short fuzz pass over the Liberty/netlist parsers, the journaled
 # work-unit payload decoder, the model-cache snapshot decoder, the lvf2d
-# arc-query parse step and the membership document parser.
+# arc-query parse step, the lvf2d netlist-request decoder and the
+# membership document parser.
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s -run '^$$' ./internal/liberty/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s -run '^$$' ./internal/liberty/
@@ -89,6 +90,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeUnit -fuzztime 30s -run '^$$' ./internal/libbuild/
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s -run '^$$' ./internal/modelcache/
 	$(GO) test -fuzz FuzzArcQuery -fuzztime 30s -run '^$$' ./internal/server/
+	$(GO) test -fuzz FuzzNetlistRequest -fuzztime 30s -run '^$$' ./internal/server/
 	$(GO) test -fuzz FuzzParseMembership -fuzztime 30s -run '^$$' ./internal/server/
 
 # Micro benchmarks with memory stats, exported as BENCH_fit.json evidence.

@@ -1,15 +1,9 @@
 package lvf2
 
-import (
-	"lvf2/internal/cells"
-	"lvf2/internal/core"
-	"lvf2/internal/fit"
-)
+import "lvf2/internal/fit"
 
-// Extensions beyond the paper's headline model: the k-component mixture
-// the paper's §3.3 invites, the LN/LSN prior-generation comparators, the
-// pattern-guided adaptive characterisation it anticipates as future work,
-// and frequency-domain binning.
+// Extensions beyond the paper's headline model: the LN/LSN
+// prior-generation comparators.
 
 // The prior-generation log-domain comparator models (paper refs [5], [6]).
 const (
@@ -22,32 +16,4 @@ func ExtendedModelKinds() []ModelKind {
 	out := make([]ModelKind, len(fit.ExtendedModels))
 	copy(out, fit.ExtendedModels)
 	return out
-}
-
-// MixModel is the k-component generalisation of Model (§3.3's "more
-// components by similar naming conventions").
-type MixModel = core.MixModel
-
-// FitMix fits a k-component skew-normal mixture (k ≥ 1) by EM.
-func FitMix(samples []float64, k int, o FitOptions) (MixModel, error) {
-	return core.FitMixModel(samples, k, o)
-}
-
-// AdaptiveCharConfig controls the two-pass pattern-guided
-// characterisation (§4.3 future work).
-type AdaptiveCharConfig = cells.AdaptiveConfig
-
-// AdaptiveAllocation is one grid point's pilot score and sample budget.
-type AdaptiveAllocation = cells.AdaptiveAllocation
-
-// PlanAdaptiveCharacterization runs the pilot pass and returns the sample
-// budget per grid point, reinforced along the slew–load diagonals of the
-// paper's accuracy pattern.
-func PlanAdaptiveCharacterization(cfg AdaptiveCharConfig, arc CellArc) []AdaptiveAllocation {
-	return cells.PlanAdaptive(cfg, arc)
-}
-
-// AdaptiveCharacterizeArc runs the full two-pass characterisation.
-func AdaptiveCharacterizeArc(cfg AdaptiveCharConfig, arc CellArc) ([]TimingDistribution, []AdaptiveAllocation) {
-	return cells.AdaptiveCharacterizeArc(cfg, arc)
 }

@@ -195,8 +195,8 @@ type CharConfig struct {
 	// Sampler selects the process-space sampling scheme (default LHS,
 	// the paper's choice).
 	Sampler spice.Sampler
-	// Workers bounds the parallelism of CharacterizeLibrary (default
-	// GOMAXPROCS).
+	// Workers bounds how many arcs libbuild.Build characterises at once
+	// (default GOMAXPROCS).
 	Workers int
 	// ArcTimeout bounds the wall time of a single arc's characterisation
 	// (0 = none). Enforcement is cooperative at grid-point boundaries.

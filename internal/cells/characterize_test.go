@@ -8,122 +8,27 @@ import (
 
 	"lvf2/internal/cells"
 	"lvf2/internal/faultinject"
-	"lvf2/internal/pool"
 )
 
 // testConfig keeps the MC volume small: 2 grid points per arc, few samples.
 func testConfig() cells.CharConfig {
-	return cells.CharConfig{Samples: 60, GridStride: 7, Workers: 4}
+	return cells.CharConfig{Samples: 60, GridStride: 7}
 }
 
-func smallTypes(t *testing.T) []cells.CellType {
+// invArc is the first arc of the INV cell.
+func invArc(t *testing.T) cells.Arc {
 	t.Helper()
-	var out []cells.CellType
-	for _, name := range []string{"INV", "HA"} { // 24 + 7 arcs
-		c, ok := cells.CellByName(name)
-		if !ok {
-			t.Fatalf("cell %s missing from library", name)
-		}
-		out = append(out, c)
+	c, ok := cells.CellByName("INV")
+	if !ok {
+		t.Fatal("cell INV missing from library")
 	}
-	return out
-}
-
-func TestCharacterizeLibraryCompletesAllArcs(t *testing.T) {
-	types := smallTypes(t)
-	res, err := cells.CharacterizeLibrary(context.Background(), testConfig(), types)
-	if err != nil {
-		t.Fatalf("CharacterizeLibrary: %v", err)
-	}
-	if len(res) != 31 {
-		t.Fatalf("got %d arc results, want 31", len(res))
-	}
-	for _, r := range res {
-		if r.Err != nil {
-			t.Fatalf("arc %s failed: %v", r.Arc.Label, r.Err)
-		}
-		if len(r.Dists) != 8 { // 2×2 grid points × (delay + transition)
-			t.Fatalf("arc %s has %d distributions, want 8", r.Arc.Label, len(r.Dists))
-		}
-	}
-	// Deterministic ordering: library order regardless of scheduling.
-	if res[0].Arc.Label != "INV/arc00" || res[24].Arc.Label != "HA/arc00" {
-		t.Fatalf("results out of library order: %s, %s", res[0].Arc.Label, res[24].Arc.Label)
-	}
-}
-
-// The satellite requirement: injected evaluator panics must be confined to
-// the faulty arcs while every other arc completes, under -race.
-func TestCharacterizeLibrarySurvivesEvaluatorPanics(t *testing.T) {
-	types := smallTypes(t)
-	faulty := map[string]bool{"INV/arc03": true, "HA/arc05": true}
-	cfg := testConfig()
-	cfg.Eval = faultinject.PanicOnArcs("INV/arc03", "HA/arc05")
-
-	res, err := cells.CharacterizeLibrary(context.Background(), cfg, types)
-	if err != nil {
-		t.Fatalf("CharacterizeLibrary aborted instead of confining the panics: %v", err)
-	}
-	for _, r := range res {
-		if faulty[r.Arc.Label] {
-			var pe *pool.PanicError
-			if !errors.As(r.Err, &pe) {
-				t.Fatalf("faulty arc %s: err = %v, want *pool.PanicError", r.Arc.Label, r.Err)
-			}
-			if pe.Task != r.Arc.Label {
-				t.Fatalf("panic attributed to %q, want %q", pe.Task, r.Arc.Label)
-			}
-			continue
-		}
-		if r.Err != nil {
-			t.Fatalf("non-faulty arc %s failed: %v", r.Arc.Label, r.Err)
-		}
-		if len(r.Dists) == 0 {
-			t.Fatalf("non-faulty arc %s produced no distributions", r.Arc.Label)
-		}
-	}
-}
-
-func TestCharacterizeLibraryCancellation(t *testing.T) {
-	types := smallTypes(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before dispatch: no arc should start
-	res, err := cells.CharacterizeLibrary(ctx, testConfig(), types)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	for _, r := range res {
-		if len(r.Dists) > 0 {
-			t.Fatalf("arc %s ran after cancellation", r.Arc.Label)
-		}
-	}
-}
-
-func TestCharacterizeLibraryMidRunCancellation(t *testing.T) {
-	types := smallTypes(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cfg := testConfig()
-	cfg.Workers = 2
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	_, err := cells.CharacterizeLibrary(ctx, cfg, types)
-	<-done
-	// The run either finished before the cancel landed (fast machines) or
-	// reports the cancellation; it must never hang or panic.
-	if err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want nil or context.Canceled", err)
-	}
+	return c.Arcs()[0]
 }
 
 func TestCharacterizeArcCtxDeadline(t *testing.T) {
-	types := smallTypes(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	dists, err := cells.CharacterizeArcCtx(ctx, testConfig(), types[0].Arcs()[0])
+	dists, err := cells.CharacterizeArcCtx(ctx, testConfig(), invArc(t))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -133,10 +38,9 @@ func TestCharacterizeArcCtxDeadline(t *testing.T) {
 }
 
 func TestCorruptingEvalInjectsNaNs(t *testing.T) {
-	types := smallTypes(t)
 	cfg := testConfig()
 	cfg.Eval = faultinject.CorruptingEval(0.05, 99)
-	dists, err := cells.CharacterizeArcCtx(context.Background(), cfg, types[0].Arcs()[0])
+	dists, err := cells.CharacterizeArcCtx(context.Background(), cfg, invArc(t))
 	if err != nil {
 		t.Fatalf("CharacterizeArcCtx: %v", err)
 	}

@@ -507,7 +507,7 @@ func (j *Journal) flushLocked() error {
 	data = binary.LittleEndian.AppendUint64(data, j.fp)
 	data = append(data, j.pending...)
 
-	if err := j.sealSegment(data); err != nil {
+	if err := modelcache.WriteFileAtomic(j.fsys, filepath.Join(j.dir, segName(j.seq)), data); err != nil {
 		j.stats.AppendErrs++
 		return fmt.Errorf("checkpoint: seal segment %d: %w", j.seq, err)
 	}
@@ -517,39 +517,6 @@ func (j *Journal) flushLocked() error {
 	j.stats.Segments++
 	j.stats.Bytes += int64(len(data))
 	journalBytes.Set(float64(j.stats.Bytes), j.label)
-	return nil
-}
-
-// sealSegment installs data as the next sealed segment atomically.
-func (j *Journal) sealSegment(data []byte) error {
-	f, err := j.fsys.CreateTemp(j.dir, segName(j.seq)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	cleanup := func(err error) error {
-		f.Close()
-		j.fsys.Remove(tmp)
-		return err
-	}
-	n, err := f.Write(data)
-	if err == nil && n != len(data) {
-		err = io.ErrShortWrite
-	}
-	if err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		j.fsys.Remove(tmp)
-		return err
-	}
-	if err := j.fsys.Rename(tmp, filepath.Join(j.dir, segName(j.seq))); err != nil {
-		j.fsys.Remove(tmp)
-		return err
-	}
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lvf2/internal/fit"
 	"lvf2/internal/stats"
 )
 
@@ -152,6 +153,9 @@ func TestModelMomentsSaneForMixture(t *testing.T) {
 }
 
 func TestFitMixModelThreeComponents(t *testing.T) {
+	// A k-component fit carried through the moments parameterisation
+	// θ = (μ, σ, γ), component by component, must still describe the
+	// sampled three-peak mixture.
 	truth, _ := stats.NewMixture(
 		[]float64{0.5, 0.3, 0.2},
 		[]stats.Dist{
@@ -164,24 +168,41 @@ func TestFitMixModelThreeComponents(t *testing.T) {
 	for i := range xs {
 		xs[i] = truth.Sample(rng)
 	}
-	m, err := FitMixModel(xs, 3, FitOptions{})
+	r, err := fit.FitSNMixK(xs, 3, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.K() != 3 {
-		t.Fatalf("K = %d", m.K())
+	if r.K() != 3 {
+		t.Fatalf("K = %d", r.K())
 	}
-	if err := m.Validate(); err != nil {
+	var sum float64
+	ds := make([]stats.Dist, r.K())
+	for i, c := range r.Comps {
+		w := r.Weights[i]
+		if w < 0 || w > 1 || math.IsNaN(w) {
+			t.Errorf("component %d weight %v out of [0,1]", i+1, w)
+		}
+		sum += w
+		th := ThetaOf(c)
+		if th.Sigma < 0 {
+			t.Errorf("component %d has negative sigma", i+1)
+		}
+		ds[i] = th.SN()
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("weights sum to %v", sum)
+	}
+	d, err := stats.NewMixture(r.Weights, ds)
+	if err != nil {
 		t.Fatal(err)
 	}
-	d := m.Dist()
 	for _, x := range []float64{0.11, 0.14, 0.17} {
 		if diff := math.Abs(d.CDF(x) - truth.CDF(x)); diff > 0.02 {
 			t.Errorf("CDF diff %v at %v", diff, x)
 		}
 	}
 	// λ1 is the dominant share.
-	if m.Lambda1() < 0.35 {
-		t.Errorf("lambda1 %v", m.Lambda1())
+	if r.Weights[0] < 0.35 {
+		t.Errorf("lambda1 %v", r.Weights[0])
 	}
 }

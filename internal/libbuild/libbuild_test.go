@@ -20,6 +20,7 @@ import (
 	"lvf2/internal/faultinject"
 	"lvf2/internal/fit"
 	"lvf2/internal/liberty"
+	"lvf2/internal/pool"
 )
 
 // fastRetry is a retry policy with an instant fake clock, so quarantine
@@ -264,6 +265,60 @@ func TestBuildQuarantinePoisonArc(t *testing.T) {
 	}
 	if rstats.Restored != rstats.Units {
 		t.Errorf("resume after complete run restored %d of %d units", rstats.Restored, rstats.Units)
+	}
+}
+
+// TestBuildEvaluatorPanic: an evaluator that panics on one arc fails the
+// build with a *pool.PanicError naming that arc, while every other arc's
+// units are still journaled done; a resume without the fault refits only
+// the victim's units and emits the golden bytes.
+func TestBuildEvaluatorPanic(t *testing.T) {
+	const victim = "NAND2/arc01"
+	golden, _ := buildBytes(t, context.Background(), testConfig())
+
+	fsys := faultinject.NewMemFS()
+	cfg := testConfig()
+	j := openTestJournal(t, fsys, cfg)
+	cfg.Journal = j
+	cfg.Char.Eval = faultinject.PanicOnArcs(victim)
+	_, _, err := Build(context.Background(), cfg)
+	var pe *pool.PanicError
+	if !errors.As(err, &pe) || pe.Task != victim {
+		t.Fatalf("Build = %v, want a *pool.PanicError on %s", err, victim)
+	}
+	j.Close()
+
+	j2 := openTestJournal(t, fsys, cfg)
+	done := 0
+	for _, rec := range j2.Records() {
+		if rec.Key.Arc == victim {
+			t.Errorf("victim unit %s journaled", rec.Key)
+		} else if rec.Status == checkpoint.StatusDone {
+			done++
+		}
+	}
+	if done != 24 {
+		t.Fatalf("journaled done units = %d, want the 24 outside %s", done, victim)
+	}
+
+	var mu sync.Mutex
+	refitted := 0
+	cfg2 := testConfig()
+	cfg2.Journal = j2
+	cfg2.fitHook = func(k checkpoint.Key) {
+		if k.Arc != victim {
+			t.Errorf("resume refitted %s", k)
+		}
+		mu.Lock()
+		refitted++
+		mu.Unlock()
+	}
+	resumed, _ := buildBytes(t, context.Background(), cfg2)
+	if refitted != 8 {
+		t.Errorf("resume refitted %d units, want the victim's 8", refitted)
+	}
+	if !bytes.Equal(resumed, golden) {
+		t.Error("resumed library differs from golden")
 	}
 }
 

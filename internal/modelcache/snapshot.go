@@ -320,7 +320,7 @@ func (c *Cache) RestoreModels(b []byte) (int, error) {
 
 // ------------------------------------------------------------ file I/O
 
-// File is the writable handle SaveSnapshotFile needs: sequential writes,
+// File is the writable handle WriteFileAtomic needs: sequential writes,
 // a durability barrier and a name for the rename step.
 type File interface {
 	io.Writer
@@ -347,15 +347,19 @@ func (OSFS) Rename(oldpath, newpath string) error         { return os.Rename(old
 func (OSFS) Remove(path string) error                     { return os.Remove(path) }
 func (OSFS) ReadFile(path string) ([]byte, error)         { return os.ReadFile(path) }
 
-// SaveSnapshotFile writes data to path atomically: a temp file in the
+// WriteFileAtomic writes data to path atomically: a temp file in the
 // same directory, full write, fsync, close, rename. A reader therefore
-// sees either the previous snapshot or the complete new one — never a
-// torn write. Any failure removes the temp file and reports the error;
-// the previous snapshot (if any) survives.
-func SaveSnapshotFile(fsys FS, path string, data []byte) error {
+// sees either the previous file or the complete new one — never a torn
+// write. Any failure removes the temp file and reports the error; the
+// previous file (if any) survives. Through OSFS the file gets
+// os.CreateTemp's mode, 0600.
+func WriteFileAtomic(fsys FS, path string, data []byte) error {
+	fail := func(step string, err error) error {
+		return fmt.Errorf("modelcache: atomic write %s: %s: %w", path, step, err)
+	}
 	f, err := fsys.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("modelcache: snapshot temp: %w", err)
+		return fail("temp", err)
 	}
 	tmp := f.Name()
 	cleanup := func(err error) error {
@@ -368,25 +372,25 @@ func SaveSnapshotFile(fsys FS, path string, data []byte) error {
 		err = io.ErrShortWrite
 	}
 	if err != nil {
-		return cleanup(fmt.Errorf("modelcache: snapshot write: %w", err))
+		return cleanup(fail("write", err))
 	}
 	if err := f.Sync(); err != nil {
-		return cleanup(fmt.Errorf("modelcache: snapshot fsync: %w", err))
+		return cleanup(fail("fsync", err))
 	}
 	if err := f.Close(); err != nil {
 		fsys.Remove(tmp)
-		return fmt.Errorf("modelcache: snapshot close: %w", err)
+		return fail("close", err)
 	}
 	if err := fsys.Rename(tmp, path); err != nil {
 		fsys.Remove(tmp)
-		return fmt.Errorf("modelcache: snapshot rename: %w", err)
+		return fail("rename", err)
 	}
 	return nil
 }
 
 // SaveSnapshot atomically persists the current model LRU to path.
 func (c *Cache) SaveSnapshot(fsys FS, path string) error {
-	return SaveSnapshotFile(fsys, path, c.SnapshotModels())
+	return WriteFileAtomic(fsys, path, c.SnapshotModels())
 }
 
 // RestoreSnapshot loads path and installs its entries, returning the

@@ -1,9 +1,9 @@
-// Package opt provides the small derivative-free optimisers used by the
+// Package opt provides the derivative-free optimiser used by the
 // model-fitting code: a Nelder–Mead simplex for multivariate minimisation
 // (LESN and LN/LSN moment matching, the optional 7-parameter LVF² MLE
-// polish) and scalar helpers. The ECM M-step's 3-parameter weighted
-// skew-normal MLE is not among them: its derivatives are analytic, and
-// internal/fit solves it by Newton's method.
+// polish). The ECM M-step's 3-parameter weighted skew-normal MLE does not
+// use it: its derivatives are analytic, and internal/fit solves it by
+// Newton's method.
 package opt
 
 import (

@@ -61,23 +61,3 @@ func TestNelderMeadZeroStartingPoint(t *testing.T) {
 		t.Errorf("minimiser %v", x[0])
 	}
 }
-
-func TestBisect(t *testing.T) {
-	r := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 200)
-	if math.Abs(r-math.Sqrt2) > 1e-12 {
-		t.Errorf("sqrt2 root %v", r)
-	}
-	if !math.IsNaN(Bisect(func(x float64) float64 { return 1 }, 0, 1, 10)) {
-		t.Error("non-bracketing input must return NaN")
-	}
-	if got := Bisect(func(x float64) float64 { return x }, 0, 1, 10); got != 0 {
-		t.Errorf("exact root at endpoint: %v", got)
-	}
-}
-
-func TestGoldenSection(t *testing.T) {
-	m := GoldenSection(func(x float64) float64 { return (x - 0.7) * (x - 0.7) }, -1, 2, 1e-10)
-	if math.Abs(m-0.7) > 1e-8 {
-		t.Errorf("golden minimiser %v", m)
-	}
-}

@@ -808,6 +808,15 @@ type netlistRequest struct {
 	CI        float64 `json:"ci,omitempty"`
 }
 
+// maxBuiltinInstances bounds the instance count of a builtin netlist. The
+// builders take no context, so an oversized n is refused before anything
+// is built rather than left for the request timeout.
+const maxBuiltinInstances = 4096
+
+func builtinTooLarge(builtin string, n int) error {
+	return badRequest("builtin %s with n=%d exceeds the limit of %d instances", builtin, n, maxBuiltinInstances)
+}
+
 func (s *Server) decodeNetlistRequest(r *http.Request) (netlistRequest, *netlist.Module, *liberty.Library, error) {
 	var req netlistRequest
 	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
@@ -845,6 +854,9 @@ func (s *Server) decodeNetlistRequest(r *http.Request) (netlistRequest, *netlist
 		if cell == "" {
 			cell = "INV"
 		}
+		if n > maxBuiltinInstances {
+			return req, nil, nil, builtinTooLarge(req.Builtin, n)
+		}
 		mod = netlist.Chain("chain", cell, n)
 	case req.Builtin == "rca16":
 		mod = netlist.RippleCarryAdder(16)
@@ -852,6 +864,11 @@ func (s *Server) decodeNetlistRequest(r *http.Request) (netlistRequest, *netlist
 		n := req.N
 		if n <= 0 {
 			n = 4
+		}
+		// A depth-n tree has 2^(n+1)−2 buffers; n ≥ 30 is refused before
+		// the shift could overflow a 32-bit int.
+		if n >= 30 || 1<<(n+1)-2 > maxBuiltinInstances {
+			return req, nil, nil, builtinTooLarge(req.Builtin, n)
 		}
 		mod = netlist.BufferTree(n)
 	default:

@@ -188,9 +188,10 @@ func (p *replication) adoptMembership(m Membership, reason string) (bool, error)
 }
 
 // persistMembership writes the adopted document back to the membership
-// file (when configured) so a restart boots at the latest epoch. Best
-// effort: a write failure costs catch-up time on the next boot, nothing
-// else.
+// file (when configured) so a restart boots at the latest epoch. The
+// write is atomic, so concurrent adoptions or a crash never leave a torn
+// file for the next boot to refuse. Best effort: a write failure costs
+// catch-up time on the next boot, nothing else.
 func (p *replication) persistMembership(m Membership) {
 	path := p.opts.MembershipPath
 	if path == "" {
@@ -201,13 +202,7 @@ func (p *replication) persistMembership(m Membership) {
 		return
 	}
 	b = append(b, '\n')
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		p.logger.Warn("lvf2d: membership persist failed", "path", path, "reason", err.Error())
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := modelcache.WriteFileAtomic(modelcache.OSFS{}, path, b); err != nil {
 		p.logger.Warn("lvf2d: membership persist failed", "path", path, "reason", err.Error())
 	}
 }

@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -523,6 +526,35 @@ func TestMembershipConfigWatch(t *testing.T) {
 	a.CheckMembershipFile(ctx)
 	if a.repl.epoch() != 1 {
 		t.Fatal("garbage file moved the epoch")
+	}
+}
+
+// TestPersistMembershipConcurrentWrites: adoptions from the probe, the
+// forward header and the config watch can persist at the same time;
+// each write is atomic, so after every burst the file parses as one of
+// the written documents and no temp file is left behind.
+func TestPersistMembershipConcurrentWrites(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "membership.json")
+	p := &replication{opts: ReplicationOptions{MembershipPath: path}, logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
+	ids := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	for burst := 0; burst < 20; burst++ {
+		var wg sync.WaitGroup
+		for i := 1; i <= len(ids); i++ {
+			wg.Add(1)
+			go func(n int) {
+				defer wg.Done()
+				p.persistMembership(fleetMembers(uint64(n), ids[:n]...))
+			}(i)
+		}
+		wg.Wait()
+		m, err := LoadMembershipFile(path)
+		if err != nil || len(m.Members) != int(m.Epoch) {
+			t.Fatalf("burst %d: persisted document = %+v, %v", burst, m, err)
+		}
+		if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 {
+			t.Fatalf("burst %d: directory holds %v, want only the membership file", burst, names)
+		}
 	}
 }
 

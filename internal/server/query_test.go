@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
@@ -91,6 +92,45 @@ func FuzzArcQuery(f *testing.F) {
 			if ar.n < 2 || ar.n > 4096 || (ar.prices != nil && len(ar.prices) != sigmaBins) {
 				t.Fatalf("endpoint %d: %q accepted n=%d, %d prices", ep, raw, ar.n, len(ar.prices))
 			}
+		}
+	})
+}
+
+// FuzzNetlistRequest drives the decode step shared by POST /v1/ssta and
+// POST /v1/yield with raw JSON bodies: it never panics, refuses only with
+// a 4xx, and never builds a builtin over maxBuiltinInstances.
+func FuzzNetlistRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"lib":"testlib","builtin":"chain","n":8,"cell":"INV"}`,
+		`{"lib":"testlib","builtin":"rca16"}`,
+		`{"lib":"testlib","builtin":"buftree","n":11}`,
+		`{"lib":"testlib","builtin":"buftree","n":12}`,
+		`{"lib":"testlib","builtin":"chain","n":4097,"clock":1}`,
+		`{"lib":"testlib","builtin":"chain","n":-3,"slew":-1}`,
+		`{"lib":"testlib","netlist":"module m(a, y); input a; output y; INV u0 (.A(a), .ZN(y)); endmodule"}`,
+		`{"lib":"other","builtin":"chain"}`,
+		`{"builtin":"buftree"}`,
+		`{"lib":"testlib","builtin":"ring"}`,
+		`[1,2`,
+	} {
+		f.Add(body)
+	}
+	s := newTestServer(f, nil)
+	f.Fuzz(func(t *testing.T, body string) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/ssta", strings.NewReader(body))
+		req, mod, lib, err := s.decodeNetlistRequest(r)
+		if err != nil {
+			var he *httpError
+			if !errors.As(err, &he) || he.code < 400 || he.code > 499 {
+				t.Fatalf("%q refused with %v, want a 4xx", body, err)
+			}
+			return
+		}
+		if mod == nil || lib == nil {
+			t.Fatalf("%q accepted without a module and a library", body)
+		}
+		if req.Netlist == "" && len(mod.Instances) > maxBuiltinInstances {
+			t.Fatalf("%q built a %d-instance builtin", body, len(mod.Instances))
 		}
 	})
 }

@@ -324,6 +324,38 @@ func TestNetlistYieldEndpoint(t *testing.T) {
 	}
 }
 
+// TestBuiltinNetlistBound: a builtin one step past maxBuiltinInstances
+// is a 400 that names the limit on both netlist endpoints, and the
+// largest admitted builtins decode to at most that many instances.
+func TestBuiltinNetlistBound(t *testing.T) {
+	s := newTestServer(t, nil)
+	h := s.Handler()
+	depth := 1 // the shallowest buffer tree past the bound
+	for 1<<(depth+1)-2 <= maxBuiltinInstances {
+		depth++
+	}
+	limit := fmt.Sprintf("limit of %d instances", maxBuiltinInstances)
+	for _, ep := range []string{"/v1/ssta", "/v1/yield"} {
+		for _, body := range []string{
+			fmt.Sprintf(`{"lib":"testlib","builtin":"chain","n":%d,"clock":1}`, maxBuiltinInstances+1),
+			fmt.Sprintf(`{"lib":"testlib","builtin":"buftree","n":%d,"clock":1}`, depth),
+		} {
+			if rec, resp := post(t, h, ep, body); rec.Code != http.StatusBadRequest || !strings.Contains(string(resp), limit) {
+				t.Errorf("%s %s = %d %s, want a 400 naming the limit", ep, body, rec.Code, resp)
+			}
+		}
+	}
+	for body, want := range map[string]int{
+		fmt.Sprintf(`{"lib":"testlib","builtin":"chain","n":%d}`, maxBuiltinInstances): maxBuiltinInstances,
+		fmt.Sprintf(`{"lib":"testlib","builtin":"buftree","n":%d}`, depth-1):           1<<depth - 2,
+	} {
+		_, mod, _, err := s.decodeNetlistRequest(httptest.NewRequest(http.MethodPost, "/v1/ssta", strings.NewReader(body)))
+		if err != nil || len(mod.Instances) != want {
+			t.Errorf("%s: err %v, want %d instances", body, err, want)
+		}
+	}
+}
+
 func TestLibraryUploadAndHashReference(t *testing.T) {
 	s := newTestServer(t, nil)
 	h := s.Handler()

@@ -258,8 +258,8 @@ func (e CellElectrical) Characterize(c Corner, rng *mc.RNG, n int, slewNS, loadP
 // samplePool recycles the process-sample matrices across characterisation
 // calls: a library characterisation evaluates thousands of slew–load grid
 // points, each drawing an n×NumParams block that is dead as soon as the
-// delays are computed. Each pool worker grabs its own matrix, so the
-// concurrent CharacterizeLibrary path reuses one buffer per worker.
+// delays are computed. Each pool worker grabs its own matrix, so a
+// concurrent library build reuses one buffer per worker.
 var samplePool mc.MatrixPool
 
 // CharacterizeWith runs the characterisation with an explicit sampling

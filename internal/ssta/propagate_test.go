@@ -134,87 +134,6 @@ func TestPropagateChainRecordsFitErrors(t *testing.T) {
 	}
 }
 
-func TestGraphChainMatchesPropagateChain(t *testing.T) {
-	stages := makeStages(3, 2000, 5)
-	g := NewGraph()
-	g.AddEdge("n0", "n1", stages[0].Samples)
-	g.AddEdge("n1", "n2", stages[1].Samples)
-	g.AddEdge("n2", "n3", stages[2].Samples)
-	arr, err := g.Propagate([]fit.Model{fit.ModelLVF}, fit.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := PropagateChain(stages, []fit.Model{fit.ModelLVF}, fit.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gm := arr["n3"].Golden.Mean()
-	cm := chain[2].Golden.Mean()
-	if !almostEqual(gm, cm, 1e-12) {
-		t.Errorf("graph mean %v vs chain %v", gm, cm)
-	}
-	dv := arr["n3"].Vars[fit.ModelLVF].Dist()
-	cv := chain[2].Vars[fit.ModelLVF].Dist()
-	if !almostEqual(dv.Mean(), cv.Mean(), 1e-9) {
-		t.Errorf("model mean %v vs %v", dv.Mean(), cv.Mean())
-	}
-}
-
-func TestGraphReconvergence(t *testing.T) {
-	// Diamond: src -> a -> sink, src -> b -> sink. Arrival at sink is the
-	// max of two accumulated paths.
-	rng := rand.New(rand.NewSource(6))
-	mk := func(mu, sd float64) []float64 {
-		xs := make([]float64, 4000)
-		for i := range xs {
-			xs[i] = mu + sd*rng.NormFloat64()
-		}
-		return xs
-	}
-	g := NewGraph()
-	g.AddEdge("src", "a", mk(0.05, 0.004))
-	g.AddEdge("src", "b", mk(0.055, 0.003))
-	g.AddEdge("a", "sink", mk(0.02, 0.002))
-	g.AddEdge("b", "sink", mk(0.018, 0.002))
-	arr, err := g.Propagate([]fit.Model{fit.ModelLVF}, fit.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := arr["sink"]
-	d := sink.Vars[fit.ModelLVF].Dist()
-	gm := sink.Golden.Mean()
-	if math.Abs(d.Mean()-gm)/gm > 0.02 {
-		t.Errorf("reconvergent mean %v vs golden %v", d.Mean(), gm)
-	}
-	// Max of two paths must exceed each path's own mean.
-	if gm <= 0.055+0.018-0.001 {
-		t.Errorf("golden max %v suspiciously low", gm)
-	}
-}
-
-func TestGraphCycleDetected(t *testing.T) {
-	g := NewGraph()
-	g.AddEdge("a", "b", []float64{1})
-	g.AddEdge("b", "a", []float64{1})
-	if _, err := g.Propagate([]fit.Model{fit.ModelLVF}, fit.Options{}); err == nil {
-		t.Error("cycle not detected")
-	}
-}
-
-func TestGraphValidation(t *testing.T) {
-	g := NewGraph()
-	g.AddNode("lonely")
-	if _, err := g.Propagate(nil, fit.Options{}); err == nil {
-		t.Error("edge-free graph accepted")
-	}
-	g2 := NewGraph()
-	g2.AddEdge("a", "b", []float64{1, 2})
-	g2.AddEdge("b", "c", []float64{1})
-	if _, err := g2.Propagate(nil, fit.Options{}); err == nil {
-		t.Error("mismatched edge sample counts accepted")
-	}
-}
-
 func TestBerryEsseenBound(t *testing.T) {
 	if !math.IsNaN(BerryEsseenBound(1, 0)) {
 		t.Error("n=0 must be NaN")
@@ -245,43 +164,5 @@ func TestAbsThirdStandardizedMoment(t *testing.T) {
 	}
 	if !math.IsNaN(AbsThirdStandardizedMoment([]float64{1, 1, 1})) {
 		t.Error("constant must be NaN")
-	}
-}
-
-func TestGraphCriticality(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	mk := func(mu, sd float64) []float64 {
-		xs := make([]float64, 6000)
-		for i := range xs {
-			xs[i] = mu + sd*rng.NormFloat64()
-		}
-		return xs
-	}
-	g := NewGraph()
-	// Slow branch dominates: should be critical in ~all samples.
-	g.AddEdge("a", "sink", mk(0.10, 0.002))
-	g.AddEdge("b", "sink", mk(0.07, 0.002))
-	arr, err := g.Propagate([]fit.Model{fit.ModelLVF}, fit.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	crit := arr["sink"].Criticality
-	if crit["a"] < 0.999 {
-		t.Errorf("dominant branch criticality %v", crit["a"])
-	}
-	// Balanced branches split criticality near 50/50.
-	g2 := NewGraph()
-	g2.AddEdge("x", "s", mk(0.10, 0.003))
-	g2.AddEdge("y", "s", mk(0.10, 0.003))
-	arr2, err := g2.Propagate([]fit.Model{fit.ModelLVF}, fit.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := arr2["s"].Criticality
-	if c2["x"] < 0.4 || c2["x"] > 0.6 {
-		t.Errorf("balanced criticality %v", c2)
-	}
-	if d := c2["x"] + c2["y"]; math.Abs(d-1) > 1e-9 {
-		t.Errorf("criticalities sum to %v", d)
 	}
 }

@@ -172,21 +172,6 @@ func TestFacadeLibraryShape(t *testing.T) {
 	}
 }
 
-func TestFacadeGraph(t *testing.T) {
-	g := NewTimingGraph()
-	xs1 := bimodalSamples(2000, 7)
-	xs2 := bimodalSamples(2000, 8)
-	g.AddEdge("in", "mid", xs1)
-	g.AddEdge("mid", "out", xs2)
-	arr, err := g.Propagate([]ModelKind{KindLVF}, FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := arr["out"]; !ok {
-		t.Error("missing arrival at sink")
-	}
-}
-
 func TestFromLVFFacade(t *testing.T) {
 	m := FromLVF(Theta{Mean: 0.1, Sigma: 0.01, Skew: 0.2})
 	if !m.IsLVF() {
@@ -217,13 +202,6 @@ func TestNewTimingVarFacade(t *testing.T) {
 
 func TestFacadeExtensions(t *testing.T) {
 	xs := bimodalSamples(8000, 40)
-	m, err := FitMix(xs, 3, FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.K() < 2 {
-		t.Errorf("K = %d", m.K())
-	}
 	if len(ExtendedModelKinds()) != 6 {
 		t.Error("extended kinds")
 	}
@@ -235,22 +213,6 @@ func TestFacadeExtensions(t *testing.T) {
 		if d.Mean() <= 0 {
 			t.Errorf("%v mean %v", k, d.Mean())
 		}
-	}
-	nand, _ := CellByName("NAND2")
-	arc := nand.Arcs()[0]
-	plan := PlanAdaptiveCharacterization(AdaptiveCharConfig{
-		CharConfig:   CharConfig{Samples: 500, Seed: 2, GridStride: 4},
-		PilotSamples: 200,
-	}, arc)
-	if len(plan) != 4 {
-		t.Fatalf("plan size %d", len(plan))
-	}
-	dists, plan2 := AdaptiveCharacterizeArc(AdaptiveCharConfig{
-		CharConfig:   CharConfig{Samples: 500, Seed: 2, GridStride: 4},
-		PilotSamples: 200,
-	}, arc)
-	if len(dists) != 2*len(plan2) {
-		t.Error("adaptive distributions shape")
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // Fault-tolerant facade: robust fitting with graceful model degradation
-// (LVF² → Norm² → LVF → Gaussian) and hardened parallel characterisation
-// with panic confinement, cancellation and per-arc deadlines.
+// (LVF² → Norm² → LVF → Gaussian) and per-arc characterisation with
+// cancellation, deadlines and a replaceable evaluator.
 
 // FitReport is the provenance record of a robust fit: the requested model,
 // the rung that actually produced the accepted fit, and every attempt on
@@ -59,11 +59,6 @@ func FitKindRobust(kind ModelKind, samples []float64, o RobustOptions) (Model, F
 	return core.FitKindRobust(kind, samples, o)
 }
 
-// ArcResult is one arc's outcome from CharacterizeLibrary: its
-// distributions, or the typed error (including recovered evaluator
-// panics) that prevented them.
-type ArcResult = cells.ArcResult
-
 // EvalFunc is the electrical-evaluation seam of the characterisation
 // pipeline; replace it to inject faults or alternative simulators.
 type EvalFunc = cells.EvalFunc
@@ -71,14 +66,6 @@ type EvalFunc = cells.EvalFunc
 // PanicError is a recovered worker panic, carrying the task label, the
 // panic value and the stack trace.
 type PanicError = pool.PanicError
-
-// CharacterizeLibrary characterises every arc of the given cell types in
-// parallel (cfg.Workers, cfg.ArcTimeout). A panicking or failing arc is
-// confined to its ArcResult; cancelling the context aborts the run with
-// ctx.Err().
-func CharacterizeLibrary(ctx context.Context, cfg CharConfig, types []CellType) ([]ArcResult, error) {
-	return cells.CharacterizeLibrary(ctx, cfg, types)
-}
 
 // CharacterizeArcCtx is CharacterizeArc with cooperative cancellation and
 // deadline support.

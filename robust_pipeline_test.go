@@ -3,7 +3,6 @@ package lvf2
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -12,7 +11,6 @@ import (
 	"lvf2/internal/faultinject"
 	"lvf2/internal/liberty"
 	"lvf2/internal/mc"
-	"lvf2/internal/spice"
 )
 
 // End-to-end fault tolerance: every rung of the degradation ladder fires
@@ -145,47 +143,13 @@ func TestPipelineFaultyCharacterisationToLintCleanLibrary(t *testing.T) {
 	if !ok {
 		t.Fatal("INV missing")
 	}
-	victim := inv.Arcs()[1].Label
-	panicky := faultinject.PanicOnArcs(victim)
-	corrupt := faultinject.CorruptingEval(0.05, 9)
-	cfg := CharConfig{
-		Samples: 300, GridStride: 7, Workers: 4, Seed: 3,
-		Eval: func(arc CellArc, corner Corner, rng *mc.RNG, n int, slewNS, loadPF float64, s spice.Sampler) spice.MCResult {
-			if arc.Label == victim {
-				return panicky(arc, corner, rng, n, slewNS, loadPF, s)
-			}
-			return corrupt(arc, corner, rng, n, slewNS, loadPF, s)
-		},
-	}
-	results, err := CharacterizeLibrary(context.Background(), cfg, []CellType{inv})
+	cfg := CharConfig{Samples: 300, GridStride: 7, Seed: 3, Eval: faultinject.CorruptingEval(0.05, 9)}
+	dists, err := CharacterizeArcCtx(context.Background(), cfg, inv.Arcs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var healthy *ArcResult
-	faulty := 0
-	for i := range results {
-		r := &results[i]
-		if r.Arc.Label == victim {
-			faulty++
-			var pe *PanicError
-			if !errors.As(r.Err, &pe) {
-				t.Fatalf("victim arc error %v, want PanicError", r.Err)
-			}
-			continue
-		}
-		if r.Err != nil {
-			t.Fatalf("%s: unexpected error %v", r.Arc.Label, r.Err)
-		}
-		if healthy == nil {
-			healthy = r
-		}
-	}
-	if faulty != 1 || healthy == nil {
-		t.Fatalf("faulty=%d healthy=%v", faulty, healthy != nil)
-	}
-
-	// Robust-fit the surviving arc's NaN-flooded distributions and emit.
+	// Robust-fit the arc's NaN-flooded distributions and emit.
 	grid := DefaultGrid()
 	idx1 := []float64{grid.Slews[0], grid.Slews[7]}
 	idx2 := []float64{grid.Loads[0], grid.Loads[7]}
@@ -197,7 +161,7 @@ func TestPipelineFaultyCharacterisationToLintCleanLibrary(t *testing.T) {
 	nomT, modT := mk()
 	var notes []string
 	dropped := 0
-	for _, d := range healthy.Dists {
+	for _, d := range dists {
 		i, j := d.SlewIdx/7, d.LoadIdx/7
 		m, rep, err := FitRobust(d.Samples, RobustOptions{})
 		if err != nil {

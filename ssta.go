@@ -18,12 +18,6 @@ type PathStageSamples = ssta.Stage
 // StageResult reports the accumulated state after each stage.
 type StageResult = ssta.StageResult
 
-// TimingGraph is a timing DAG with statistical max at reconvergence.
-type TimingGraph = ssta.Graph
-
-// NewTimingGraph returns an empty timing graph.
-func NewTimingGraph() *TimingGraph { return ssta.NewGraph() }
-
 // NewTimingVar fits a model family to stage samples and wraps it as a
 // propagatable timing variable.
 func NewTimingVar(kind ModelKind, samples []float64, o FitOptions) (TimingVar, error) {
