@@ -36,12 +36,15 @@ allocbudget:
 	$(GO) test -run 'AllocBudget' -count 1 ./internal/fit/ ./internal/stats/ ./internal/ssta/ ./internal/yield/ ./internal/spice/
 
 # Bit-identical serial-vs-parallel multi-start, bit-identical
-# warm-started library builds across worker counts, and yield estimates
-# bit-identical to the serial batch loop — under the race detector and
-# several GOMAXPROCS values so the concurrent paths engage.
+# warm-started library builds across worker counts and against a
+# distributed build (Build shares one Executor across its arc
+# goroutines), and yield estimates bit-identical to the serial batch
+# loop — under the race detector and several GOMAXPROCS values so the
+# concurrent paths engage.
 determinism:
 	$(GO) test -race -cpu 1,4,8 -run 'TestFitLVF2ParallelDeterminism|TestFitLVF2Golden|TestFitLVF2SeededDeterminism' -count 1 ./internal/fit/
 	$(GO) test -race -cpu 1,4,8 -run 'TestBuildWarmDeterminismAcrossWorkers' -count 1 -timeout 15m ./internal/libbuild/
+	$(GO) test -race -cpu 1,4,8 -run 'TestDistributedBuildMatchesSingleProcess' -count 1 -timeout 15m ./internal/dist/
 	$(GO) test -race -cpu 1,2,4,8 -run 'TestYieldEstimatorDeterminism|TestYieldBitIdenticalToSerial' -count 1 -timeout 15m ./internal/yield/
 
 # The seeded chaos suites under the race detector, one package at a time:
@@ -80,14 +83,16 @@ bench-smoke:
 check: vet build race allocbudget determinism chaos bench-smoke
 
 # Short fuzz pass over the Liberty/netlist parsers, the journaled
-# work-unit payload decoder, the model-cache snapshot decoder, the lvf2d
-# arc-query parse step, the lvf2d netlist-request decoder and the
-# membership document parser.
+# work-unit payload decoder, the distributed coordinator's worker
+# endpoints, the model-cache snapshot decoder, the lvf2d arc-query parse
+# step, the lvf2d netlist-request decoder and the membership document
+# parser.
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s -run '^$$' ./internal/liberty/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s -run '^$$' ./internal/liberty/
 	$(GO) test -fuzz FuzzParseNetlist -fuzztime 30s -run '^$$' ./internal/netlist/
 	$(GO) test -fuzz FuzzDecodeUnit -fuzztime 30s -run '^$$' ./internal/libbuild/
+	$(GO) test -fuzz FuzzCoordinatorComplete -fuzztime 30s -run '^$$' ./internal/dist/
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s -run '^$$' ./internal/modelcache/
 	$(GO) test -fuzz FuzzArcQuery -fuzztime 30s -run '^$$' ./internal/server/
 	$(GO) test -fuzz FuzzNetlistRequest -fuzztime 30s -run '^$$' ./internal/server/

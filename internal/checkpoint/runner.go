@@ -67,7 +67,7 @@ type Runner struct {
 // resumes if run is a pure function of the unit key and the
 // fingerprinted configuration. A run callback MAY derive state from
 // *other units' journaled payloads* — libbuild's warm-start seeds are
-// decoded from the anchor unit's payload bytes — provided the
+// decoded from a grid neighbour's payload bytes — provided the
 // derivation itself is deterministic and the dependency always resolves
 // through the payload (never a richer in-memory value a fresh process
 // would not have), so a unit computed after a restore is byte-equal to

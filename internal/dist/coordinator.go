@@ -47,7 +47,8 @@ type CoordinatorConfig struct {
 	// expiry blames the environment as much as the unit.
 	DeathBudget int
 	// Now is the clock seam (default time.Now). Tests drive lease expiry
-	// with a fake clock and explicit Tick calls.
+	// with a fake clock; every lease, heartbeat and completion sweeps the
+	// leases it has let expire first.
 	Now func() time.Time
 	// Log receives coordinator events (default: discarded).
 	Log io.Writer
@@ -178,9 +179,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// Fingerprint is the build's configuration fingerprint.
-func (c *Coordinator) Fingerprint() checkpoint.Fingerprint { return c.fp }
-
 // Done reports whether every unit is journaled terminal.
 func (c *Coordinator) Done() bool {
 	select {
@@ -199,15 +197,6 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Tick reclaims expired leases as of the coordinator clock. Handlers
-// run it before every lease and completion decision; fake-clock tests
-// call it explicitly after advancing time.
-func (c *Coordinator) Tick() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sweepLocked(c.cfg.Now())
 }
 
 // sweepLocked reclaims every lease whose TTL lapsed: each of its
@@ -334,7 +323,9 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 // try was lost) and stale submissions (the unit was re-leased and
 // finished elsewhere — harmless, payloads are deterministic) can never
 // journal a unit twice. Submissions under the wrong fingerprint are
-// rejected with ErrSpecMismatch before touching anything.
+// rejected with ErrSpecMismatch before touching anything, and so is an
+// OK submission whose payload does not decode: journaled, it would be
+// terminal for good and fail every later assembly of the library.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -347,6 +338,12 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if !ok {
 		resultsTotal.Inc("unknown_unit")
 		return CompleteResponse{}, fmt.Errorf("%w: %s", errUnknownUnit, k)
+	}
+	if req.OK {
+		if err := libbuild.CheckPayload(req.Payload); err != nil {
+			resultsTotal.Inc("bad_payload")
+			return CompleteResponse{}, fmt.Errorf("dist: unit %s payload: %w", k, err)
+		}
 	}
 	now := c.cfg.Now()
 	c.sweepLocked(now)

@@ -173,6 +173,54 @@ func TestDistributedBuildMatchesSingleProcess(t *testing.T) {
 	assertOneTerminalPerKey(t, fsys, "ckpt", cfg.Fingerprint())
 }
 
+// TestCompleteRejectsUndecodablePayload: an OK submission whose payload
+// does not decode — done or salvage — is a malformed request. It is
+// answered 400 and journals nothing, so the unit stays non-terminal and
+// the drained journal still assembles the single-process library.
+func TestCompleteRejectsUndecodablePayload(t *testing.T) {
+	fsys := faultinject.NewMemFS()
+	fp := smallBuild(nil).Fingerprint()
+	j := openJournal(t, fsys, "ckpt", fp)
+	cfg := smallBuild(j)
+	c, err := NewCoordinator(CoordinatorConfig{Build: cfg, LeaseTTL: 5 * time.Second, PollWait: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	refs, err := libbuild.Plan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := FromKey(refs[0].Key)
+	w := &worker{cfg: WorkerConfig{ID: "w1", URL: srv.URL}.withDefaults()}
+	for _, rung := range []string{"", "gaussian"} {
+		var resp CompleteResponse
+		err := w.post(context.Background(), PathComplete, CompleteRequest{Worker: "w1", Fingerprint: fp.Hash(),
+			Key: k, OK: true, Payload: []byte("x"), Rung: rung}, &resp)
+		if err == nil || !strings.Contains(err.Error(), "400 Bad Request") {
+			t.Fatalf("undecodable payload (rung %q): %v, want a 400", rung, err)
+		}
+	}
+	if rec, ok := j.Lookup(k.ToKey()); ok {
+		t.Fatalf("undecodable payload journaled: %+v", rec)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := RunWorker(ctx, WorkerConfig{ID: "w2", URL: srv.URL}); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	libBytes, stats := assembleLib(t, cfg)
+	if stats.Restored != stats.Units || stats.Units != 8 {
+		t.Fatalf("assembly restored %d/%d units, want 8/8", stats.Restored, stats.Units)
+	}
+	if !bytes.Equal(libBytes, singleProcessLib(t, smallBuild(nil))) {
+		t.Fatal("library differs from the single-process build")
+	}
+}
+
 // newTestCoordinator wires a coordinator over a fake clock for
 // deterministic lease-expiry tests.
 func newTestCoordinator(t *testing.T, cfg libbuild.Config, clk *faultinject.Clock, deathBudget int) *Coordinator {
@@ -189,6 +237,21 @@ func newTestCoordinator(t *testing.T, cfg libbuild.Config, clk *faultinject.Cloc
 	return c
 }
 
+// salvagePayload is a real, decodable unit payload for k: the Executor's
+// salvage emission, the cheapest payload the coordinator accepts.
+func salvagePayload(t testing.TB, cfg libbuild.Config, k WireKey) []byte {
+	t.Helper()
+	e, err := libbuild.NewExecutor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _, err := e.Salvage(context.Background(), k.ToKey())
+	if err != nil {
+		t.Fatalf("Salvage(%s): %v", k.ToKey(), err)
+	}
+	return payload
+}
+
 func TestCompleteIsIdempotent(t *testing.T) {
 	fsys := faultinject.NewMemFS()
 	cfg := smallBuild(openJournal(t, fsys, "ckpt", smallBuild(nil).Fingerprint()))
@@ -201,7 +264,7 @@ func TestCompleteIsIdempotent(t *testing.T) {
 	}
 	req := CompleteRequest{
 		Worker: "w1", Fingerprint: cfg.Fingerprint().Hash(), LeaseID: lr.Lease.ID,
-		Key: lr.Lease.Keys[0], OK: true, Payload: []byte("unit-result"),
+		Key: lr.Lease.Keys[0], OK: true, Payload: salvagePayload(t, cfg, lr.Lease.Keys[0]),
 	}
 	first, err := c.Complete(req)
 	if err != nil || !first.Accepted || first.Duplicate {
@@ -252,7 +315,6 @@ func TestLeaseExpiryReleasesUnits(t *testing.T) {
 	// w1 goes dark: past the TTL its units are re-leasable, its lease ID
 	// is dead, and the expiry is visible in the heartbeat channel.
 	clk.Advance(11 * time.Second)
-	c.Tick()
 	if hb := c.Heartbeat(HeartbeatRequest{Worker: "w1", LeaseID: l1.ID}); hb.OK {
 		t.Fatal("heartbeat renewed an expired lease")
 	}
@@ -301,7 +363,6 @@ func TestDeathBudgetRoutesUnitToSalvage(t *testing.T) {
 			t.Fatalf("death %d re-leased different units: %+v", death, l.Keys)
 		}
 		clk.Advance(11 * time.Second)
-		c.Tick()
 	}
 
 	// The poison units now come back one at a time as salvage leases.
@@ -314,7 +375,7 @@ func TestDeathBudgetRoutesUnitToSalvage(t *testing.T) {
 	}
 	resp, err := c.Complete(CompleteRequest{
 		Worker: "salvager", Fingerprint: cfg.Fingerprint().Hash(), LeaseID: sl.ID,
-		Key: sl.Keys[0], OK: true, Payload: []byte("degraded"), Rung: "gaussian",
+		Key: sl.Keys[0], OK: true, Payload: salvagePayload(t, cfg, sl.Keys[0]), Rung: "gaussian",
 	})
 	if err != nil || !resp.Accepted {
 		t.Fatalf("salvage Complete = %+v, %v", resp, err)
@@ -348,8 +409,7 @@ func TestReportedFailuresSpendRetryBudgetThenSalvage(t *testing.T) {
 
 	// The unit backs off before its retry lease; the sibling remains
 	// leased to w1, so the next grant (after backoff) is the failed unit.
-	clk.Advance(time.Hour)
-	c.Tick() // w1's lease expires; sibling re-pends too
+	clk.Advance(time.Hour) // w1's lease expires; sibling re-pends too
 	l2 := c.Lease(LeaseRequest{Worker: "w2"}).Lease
 	if l2 == nil || l2.Salvage {
 		t.Fatalf("second lease = %+v, want a normal retry lease", l2)
@@ -362,7 +422,6 @@ func TestReportedFailuresSpendRetryBudgetThenSalvage(t *testing.T) {
 	// MaxAttempts=2 is spent: the unit must come back as salvage with the
 	// reported cause.
 	clk.Advance(time.Hour)
-	c.Tick()
 	var sl *Lease
 	for i := 0; i < 8; i++ {
 		got := c.Lease(LeaseRequest{Worker: "w3"}).Lease
@@ -381,7 +440,7 @@ func TestReportedFailuresSpendRetryBudgetThenSalvage(t *testing.T) {
 		t.Fatalf("salvage LastErr = %q, want the reported failure", sl.LastErr)
 	}
 	resp, err := c.Complete(CompleteRequest{Worker: "w3", Fingerprint: cfg.Fingerprint().Hash(),
-		LeaseID: sl.ID, Key: k, OK: true, Payload: []byte("degraded"), Rung: "floored-gaussian"})
+		LeaseID: sl.ID, Key: k, OK: true, Payload: salvagePayload(t, cfg, k), Rung: "floored-gaussian"})
 	if err != nil || !resp.Accepted {
 		t.Fatalf("salvage Complete = %+v, %v", resp, err)
 	}
@@ -408,7 +467,7 @@ func TestCoordinatorRestartRecoversFromJournal(t *testing.T) {
 	l1 := c.Lease(LeaseRequest{Worker: "w1"}).Lease
 	for _, k := range l1.Keys {
 		if _, err := c.Complete(CompleteRequest{Worker: "w1", Fingerprint: fp.Hash(),
-			LeaseID: l1.ID, Key: k, OK: true, Payload: []byte("done-" + k.Kind)}); err != nil {
+			LeaseID: l1.ID, Key: k, OK: true, Payload: salvagePayload(t, cfg, k)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -446,7 +505,7 @@ func TestCoordinatorRestartRecoversFromJournal(t *testing.T) {
 			}
 			seen[k] = true
 			if _, err := c2.Complete(CompleteRequest{Worker: "w2", Fingerprint: fp.Hash(),
-				LeaseID: lr.Lease.ID, Key: wk, OK: true, Payload: []byte("done")}); err != nil {
+				LeaseID: lr.Lease.ID, Key: wk, OK: true, Payload: salvagePayload(t, cfg2, wk)}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -2,7 +2,9 @@ package libbuild
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"sync"
 
 	"lvf2/internal/cells"
@@ -19,12 +21,13 @@ type UnitRef struct {
 
 // Plan enumerates every work unit of cfg in deterministic build order:
 // arcs in library order, grid points in sweep order, Delay before
-// Transition at each point. The distributed coordinator leases from
-// exactly this sequence, so every process — coordinator, worker,
-// single-machine build — agrees on the unit universe and its order.
+// Transition at each point. Build runs one arc's span of it per pool
+// task and the distributed coordinator leases from it, so every process
+// — coordinator, worker, single-machine build — agrees on the unit
+// universe and its order.
 func Plan(cfg Config) ([]UnitRef, error) {
 	if len(cfg.Types) == 0 {
-		return nil, fmt.Errorf("libbuild: no cell types")
+		return nil, errNoTypes
 	}
 	cfg.Char = cfg.Char.WithDefaults()
 	jobs, _ := planJobs(cfg)
@@ -33,244 +36,217 @@ func Plan(cfg Config) ([]UnitRef, error) {
 	for _, j := range jobs {
 		for _, p := range points {
 			for _, kind := range [...]cells.Kind{cells.Delay, cells.Transition} {
-				refs = append(refs, UnitRef{
-					Key: checkpoint.Key{Cell: j.arc.Cell, Pin: j.pin, Arc: j.arc.Label,
-						Slew: p.SlewIdx, Load: p.LoadIdx, Kind: kind.String()},
-					Arc: j.arc,
-				})
+				refs = append(refs, UnitRef{Key: j.key(p.SlewIdx, p.LoadIdx, kind), Arc: j.arc})
 			}
 		}
 	}
 	return refs, nil
 }
 
-// arcCoord indexes an executor's plan by the key fields that name an arc.
-type arcCoord struct{ cell, pin, arc string }
-
-// pointSamples is one characterised grid point: the two distributions
-// (Delay, Transition) its pair of units fit from.
-type pointSamples struct {
-	coord  arcCoord
-	si, li int
-	byKind map[string]cells.Distribution
-}
-
-// Executor computes work-unit payloads outside the in-process build
-// loop — the seam a distributed worker runs leased checkpoint units
-// through. Execute characterises the unit's grid point on demand and
-// fits through the same code path as Build, so a payload computed
-// remotely is bit-identical to one computed locally. A small cache of
-// characterised points lets the sibling unit of a pair lease (Delay and
-// Transition of one grid point) reuse the Monte-Carlo pass, mirroring
-// the MC sharing of the single-process build.
+// Executor is the one code path that characterises, seeds, fits and
+// salvages a work unit. Build drives it arc by arc through
+// checkpoint.Runner; a distributed worker drives it one leased unit at a
+// time through Execute and Salvage. A payload is a pure function of the
+// configuration, the unit's deterministic samples and its seed, and the
+// seed is the link the unit's chain neighbour left (see seed and
+// record), so a payload computed remotely is bit-identical to one
+// computed locally.
 type Executor struct {
-	// FitHook observes every primary fit attempt before it runs; FitErr
-	// injects a unit fault. Both are test seams, mirroring the Config
-	// ones the in-process build uses.
-	FitHook func(checkpoint.Key)
-	FitErr  func(checkpoint.Key) error
-
 	cfg  Config
-	jobs map[arcCoord]arcJob
+	jobs map[checkpoint.Key]arcJob // by arcOf
+	warm bool                      // LVF² fits are seeded from the chain
 
-	mu    sync.Mutex
-	cache []pointSamples
-	seeds map[seedCoord]*fit.Seed
+	mu      sync.Mutex
+	samples map[checkpoint.Key]cells.Distribution // a worker's last few points
+	// links holds the chain links of resolved units. Build keeps all of
+	// them, as it reads each one back while its arc is in flight; Execute
+	// bounds a worker's (see workerLinks).
+	links map[checkpoint.Key]*fit.Seed
 }
 
-// seedCoord names one link of the warm-start seed chains: the arc, the
-// grid point and the fitted kind.
-type seedCoord struct {
-	coord  arcCoord
-	si, li int
-	kind   string
-}
+const (
+	// executorCachePoints bounds a worker's characterised-point cache:
+	// leases arrive point by point, so it only needs the last few.
+	executorCachePoints = 4
+	// workerLinks bounds a worker's link store: Execute clears it once it
+	// holds this many. Leases arrive in plan order, so a worker only
+	// revisits the last few rows; the bound keeps a long-lived worker from
+	// keeping every link it has ever fitted.
+	workerLinks = 512
+)
 
-// executorCachePoints bounds the characterised-point cache. Leases
-// arrive point by point, so a worker only ever needs the last few.
-const executorCachePoints = 4
+var errNoTypes = errors.New("libbuild: no cell types")
 
-// NewExecutor builds the executor for one build configuration. The
-// configuration must match the coordinator's bit for bit (same
+// NewExecutor builds the executor for one build configuration. A
+// worker's configuration must match the coordinator's bit for bit (same
 // fingerprint) or the fitted payloads would diverge.
 func NewExecutor(cfg Config) (*Executor, error) {
 	if len(cfg.Types) == 0 {
-		return nil, fmt.Errorf("libbuild: executor: no cell types")
+		return nil, errNoTypes
 	}
 	cfg.Char = cfg.Char.WithDefaults()
 	jobs, _ := planJobs(cfg)
-	byCoord := make(map[arcCoord]arcJob, len(jobs))
+	e := &Executor{cfg: cfg, jobs: make(map[checkpoint.Key]arcJob, len(jobs)),
+		warm:    requestedModel(cfg) == fit.ModelLVF2 && !cfg.ColdStart,
+		samples: make(map[checkpoint.Key]cells.Distribution),
+		links:   make(map[checkpoint.Key]*fit.Seed)}
 	for _, j := range jobs {
-		byCoord[arcCoord{cell: j.arc.Cell, pin: j.pin, arc: j.arc.Label}] = j
+		e.jobs[arcOf(j.key(0, 0, cells.Delay))] = j
 	}
-	return &Executor{cfg: cfg, jobs: byCoord}, nil
+	return e, nil
 }
 
-// Fingerprint is the executor's configuration fingerprint, stamped on
-// every distributed result submission.
-func (e *Executor) Fingerprint() checkpoint.Fingerprint { return e.cfg.Fingerprint() }
+// arcOf keeps the key fields that name a unit's arc.
+func arcOf(k checkpoint.Key) checkpoint.Key {
+	return checkpoint.Key{Cell: k.Cell, Pin: k.Pin, Arc: k.Arc}
+}
 
-// point returns the characterised distributions of one grid point,
-// running the Monte-Carlo pass on a cache miss.
-func (e *Executor) point(ctx context.Context, job arcJob, coord arcCoord, si, li int) (map[string]cells.Distribution, error) {
-	e.mu.Lock()
-	for _, p := range e.cache {
-		if p.coord == coord && p.si == si && p.li == li {
-			byKind := p.byKind
-			e.mu.Unlock()
-			return byKind, nil
-		}
-	}
-	e.mu.Unlock()
-
+// characterise runs the Monte-Carlo pass of job's arc over the grid
+// points that hold a unit want accepts — one pass, sharing one sample
+// plan across the arc — and returns the samples by unit key.
+func (e *Executor) characterise(ctx context.Context, job arcJob, want func(checkpoint.Key) bool) (map[checkpoint.Key]cells.Distribution, error) {
 	charCfg := e.cfg.Char
-	charCfg.Skip = func(_ cells.Arc, psi, pli int) bool { return psi != si || pli != li }
+	charCfg.Skip = func(_ cells.Arc, si, li int) bool {
+		return !want(job.key(si, li, cells.Delay)) && !want(job.key(si, li, cells.Transition))
+	}
 	dists, err := cells.CharacterizeArcCtx(ctx, charCfg, job.arc)
 	if err != nil {
 		return nil, err
 	}
-	byKind := make(map[string]cells.Distribution, len(dists))
+	out := make(map[checkpoint.Key]cells.Distribution, len(dists))
 	for _, d := range dists {
-		byKind[d.Kind.String()] = d
+		out[job.key(d.SlewIdx, d.LoadIdx, d.Kind)] = d
 	}
-
-	e.mu.Lock()
-	e.cache = append(e.cache, pointSamples{coord: coord, si: si, li: li, byKind: byKind})
-	if len(e.cache) > executorCachePoints {
-		e.cache = e.cache[len(e.cache)-executorCachePoints:]
-	}
-	e.mu.Unlock()
-	return byKind, nil
+	return out, nil
 }
 
-// lookup resolves a unit key against the build plan.
-func (e *Executor) lookup(k checkpoint.Key) (arcJob, arcCoord, error) {
-	coord := arcCoord{cell: k.Cell, pin: k.Pin, arc: k.Arc}
-	job, ok := e.jobs[coord]
-	if !ok {
-		return arcJob{}, coord, fmt.Errorf("libbuild: executor: unit %s is not in the build plan", k)
+// unit returns the samples of one unit, characterising its grid point on
+// a cache miss. A leased pair's second unit reuses the first's pass.
+func (e *Executor) unit(ctx context.Context, k checkpoint.Key) (cells.Distribution, error) {
+	e.mu.Lock()
+	d, ok := e.samples[k]
+	e.mu.Unlock()
+	if ok {
+		return d, nil
 	}
-	if k.Slew < 0 || k.Slew >= len(e.cfg.Char.Grid.Slews) || k.Load < 0 || k.Load >= len(e.cfg.Char.Grid.Loads) {
-		return arcJob{}, coord, fmt.Errorf("libbuild: executor: unit %s addresses an off-grid point", k)
+	var pt map[checkpoint.Key]cells.Distribution
+	if job, ok := e.jobs[arcOf(k)]; ok {
+		var err error
+		if pt, err = e.characterise(ctx, job, func(u checkpoint.Key) bool { return u.Slew == k.Slew && u.Load == k.Load }); err != nil {
+			return d, err
+		}
 	}
-	return job, coord, nil
+	if d, ok = pt[k]; !ok {
+		return d, fmt.Errorf("libbuild: executor: unit %s is not in the build plan", k)
+	}
+	e.mu.Lock()
+	if len(e.samples) >= 2*executorCachePoints {
+		clear(e.samples)
+	}
+	maps.Copy(e.samples, pt)
+	e.mu.Unlock()
+	return d, nil
+}
+
+// seed is unit k's warm-start seed: the link its chain neighbour left,
+// which is the previous row's anchor for a column-0 unit and the nearest
+// left neighbour otherwise. The arc's first anchor has none, nor does
+// any unit of a non-LVF² or ColdStart build. Build records every link
+// before the successor asks, so it never refits. A worker that finds no
+// link refits the neighbour, which another process fitted, from its
+// deterministic samples, recursing along the chain as far as it must.
+func (e *Executor) seed(ctx context.Context, k checkpoint.Key) (*fit.Seed, error) {
+	if !e.warm {
+		return nil, nil
+	}
+	n := k
+	if k.Load == 0 {
+		n.Slew -= e.cfg.Char.GridStride
+	} else {
+		n.Load -= e.cfg.Char.GridStride
+	}
+	if n.Slew < 0 {
+		return nil, nil
+	}
+	e.mu.Lock()
+	link, ok := e.links[n]
+	e.mu.Unlock()
+	if ok {
+		return link, nil
+	}
+	d, err := e.unit(ctx, n)
+	if err != nil {
+		return nil, err
+	}
+	prior, err := e.seed(ctx, n)
+	if err != nil {
+		return nil, err
+	}
+	payload, _ := fitUnitPayload(fit.ModelLVF2, e.cfg.Char.GridStride, n, d, prior) // a failed fit leaves a dirty link
+	return e.record(n, payload, false, prior), nil
+}
+
+// record stores and returns the link unit k leaves once resolved to
+// payload (quarantined: a salvage emission), given the seed it was
+// seeded from. A clean fit leaves its own model, decoded from the
+// payload so every process derives the same bits. A dirty mid-row unit
+// (quarantined, undecodable or fallback-noted) passes seed through, so
+// the previous clean neighbour keeps seeding. A dirty anchor leaves nil,
+// which cold-starts its own row and the next row's anchor.
+func (e *Executor) record(k checkpoint.Key, payload []byte, quarantined bool, seed *fit.Seed) *fit.Seed {
+	if !e.warm {
+		return nil
+	}
+	link := seed
+	if k.Load == 0 {
+		link = nil
+	}
+	if _, m, note, _, err := decodeUnit(payload); err == nil && !quarantined && note == "" {
+		link = seedFromModel(m)
+	}
+	e.mu.Lock()
+	e.links[k] = link
+	e.mu.Unlock()
+	return link
+}
+
+// fitUnit fits unit k from its samples d, warm-started from seed, and
+// encodes the journal payload. Config's test seams see every call.
+func (e *Executor) fitUnit(k checkpoint.Key, d cells.Distribution, seed *fit.Seed) ([]byte, error) {
+	if e.cfg.fitHook != nil {
+		e.cfg.fitHook(k)
+	}
+	if e.cfg.fitErr != nil {
+		if err := e.cfg.fitErr(k); err != nil {
+			return nil, err
+		}
+	}
+	return fitUnitPayload(requestedModel(e.cfg), e.cfg.Char.GridStride, k, d, seed)
 }
 
 // Execute characterises and fits one work unit, returning the payload
-// the journal would hold for a Done record.
+// the journal would hold for a Done record. The fit's link is recorded,
+// so the worker's next unit of the chain need not refit it.
 func (e *Executor) Execute(ctx context.Context, k checkpoint.Key) ([]byte, error) {
-	job, coord, err := e.lookup(k)
+	d, err := e.unit(ctx, k)
 	if err != nil {
 		return nil, err
 	}
-	if e.FitHook != nil {
-		e.FitHook(k)
-	}
-	if e.FitErr != nil {
-		if ferr := e.FitErr(k); ferr != nil {
-			return nil, ferr
-		}
-	}
-	byKind, err := e.point(ctx, job, coord, k.Slew, k.Load)
-	if err != nil {
-		return nil, err
-	}
-	d, have := byKind[k.Kind]
-	if !have {
-		return nil, fmt.Errorf("libbuild: executor: no samples for unit %s", k)
-	}
-	seed, err := e.unitSeed(ctx, job, coord, k)
-	if err != nil {
-		return nil, err
-	}
-	requested := requestedModel(e.cfg)
-	return fitUnitPayload(requested, e.cfg.Char.GridStride, k, d, seed)
-}
-
-// seedCacheEntries bounds the seed-chain cache. Leases arrive in plan
-// order, so a worker only ever revisits the last few rows; the bound
-// just keeps a long-lived worker from accumulating every link it has
-// ever fitted.
-const seedCacheEntries = 512
-
-// unitSeed derives the warm-start seed for unit k. A worker cannot read
-// the coordinator's journal, so it recomputes what the in-process build
-// would have journaled: every fit along the way is a pure function of
-// the arc configuration and the point's deterministic samples, which
-// makes the recomputed seed — and therefore the submitted payload —
-// bit-identical to what an in-process build derives from its own
-// journal. A column-0 (anchor) unit is seeded by the previous row's
-// anchor, the column-0 chain walked from the arc's first row, which
-// always fits cold; any other unit is seeded by its nearest fitted left
-// neighbour in the row. Non-LVF² builds and ColdStart builds seed nil.
-func (e *Executor) unitSeed(ctx context.Context, job arcJob, coord arcCoord, k checkpoint.Key) (*fit.Seed, error) {
-	if requestedModel(e.cfg) != fit.ModelLVF2 || e.cfg.ColdStart {
-		return nil, nil
-	}
-	if k.Load == 0 {
-		return e.seedAfter(ctx, job, coord, k, k.Slew-e.gridStride(), 0)
-	}
-	return e.seedAfter(ctx, job, coord, k, k.Slew, k.Load-e.gridStride())
-}
-
-// gridStride is the slew/load index step between swept grid points.
-func (e *Executor) gridStride() int {
-	if s := e.cfg.Char.GridStride; s > 0 {
-		return s
-	}
-	return 1
-}
-
-// seedAfter returns the seed available after the fit of point (si, li)
-// of k's arc and kind — i.e. what the in-process build's rowSeed (or,
-// at li == 0, its column-0 anchor) holds once that unit resolves: the
-// unit's own decoded model when the fit is clean; past a dirty mid-row
-// unit, the nearest clean left neighbour passes through; a dirty anchor
-// yields nil (both chains cold-start). It recurses left along the row
-// and up the column-0 chain, reusing cached links.
-func (e *Executor) seedAfter(ctx context.Context, job arcJob, coord arcCoord, k checkpoint.Key, si, li int) (*fit.Seed, error) {
-	if si < 0 {
-		return nil, nil
-	}
-	ck := seedCoord{coord: coord, si: si, li: li, kind: k.Kind}
 	e.mu.Lock()
-	seed, cached := e.seeds[ck]
+	if len(e.links) >= workerLinks {
+		clear(e.links)
+	}
 	e.mu.Unlock()
-	if cached {
-		return seed, nil
-	}
-
-	var prior *fit.Seed
-	var err error
-	if li == 0 {
-		prior, err = e.seedAfter(ctx, job, coord, k, si-e.gridStride(), 0)
-	} else {
-		prior, err = e.seedAfter(ctx, job, coord, k, si, li-e.gridStride())
-		seed = prior // a dirty mid-row fit passes its left neighbour through
-	}
+	seed, err := e.seed(ctx, k)
 	if err != nil {
 		return nil, err
 	}
-	byKind, err := e.point(ctx, job, coord, si, li)
+	payload, err := e.fitUnit(k, d, seed)
 	if err != nil {
 		return nil, err
 	}
-	if d, have := byKind[k.Kind]; have {
-		uk := checkpoint.Key{Cell: k.Cell, Pin: k.Pin, Arc: k.Arc, Slew: si, Load: li, Kind: k.Kind}
-		if payload, ferr := fitUnitPayload(fit.ModelLVF2, e.cfg.Char.GridStride, uk, d, prior); ferr == nil {
-			if _, m, note, _, derr := decodeUnit(payload); derr == nil && note == "" {
-				seed = seedFromModel(m)
-			}
-		}
-	}
-
-	e.mu.Lock()
-	if e.seeds == nil || len(e.seeds) >= seedCacheEntries {
-		e.seeds = make(map[seedCoord]*fit.Seed, 16)
-	}
-	e.seeds[ck] = seed
-	e.mu.Unlock()
-	return seed, nil
+	e.record(k, payload, false, seed)
+	return payload, nil
 }
 
 // Salvage runs the quarantine ladder for a poison unit, returning the
@@ -278,15 +254,44 @@ func (e *Executor) seedAfter(ctx context.Context, job arcJob, coord arcCoord, k 
 // terminal rung cannot fail, so Salvage only errors on cancellation or
 // a unit outside the plan.
 func (e *Executor) Salvage(ctx context.Context, k checkpoint.Key) (payload []byte, rung string, err error) {
-	job, coord, err := e.lookup(k)
+	d, err := e.unit(ctx, k)
 	if err != nil {
 		return nil, "", err
 	}
-	byKind, err := e.point(ctx, job, coord, k.Slew, k.Load)
-	if err != nil {
-		return nil, "", err
-	}
-	d, have := byKind[k.Kind]
-	payload, rung = salvageUnitPayload(d, have)
+	payload, rung = salvageUnitPayload(d)
 	return payload, rung, nil
+}
+
+// runArc resolves one arc's units (refs, in plan order) through runner
+// into out. The arc's Monte-Carlo pass runs first, in one pass over the
+// points that still hold a non-terminal unit, and outside runner.Do: an
+// evaluator panic fails the arc's pool task rather than quarantining its
+// units. Each resolved unit — restored, fitted or salvaged — records its
+// link before its successor asks for a seed.
+func (e *Executor) runArc(ctx context.Context, runner *checkpoint.Runner, refs []UnitRef, out []checkpoint.Unit) error {
+	samples, err := e.characterise(ctx, e.jobs[arcOf(refs[0].Key)], func(k checkpoint.Key) bool {
+		return !runner.Journal.Terminal(k)
+	})
+	if err != nil {
+		return err
+	}
+	for i, ref := range refs {
+		k, d := ref.Key, samples[ref.Key]
+		seed, err := e.seed(ctx, k)
+		if err != nil {
+			return err
+		}
+		u, err := runner.Do(ctx, k,
+			func(context.Context) ([]byte, error) { return e.fitUnit(k, d, seed) },
+			func(error) ([]byte, string, error) {
+				payload, rung := salvageUnitPayload(d)
+				return payload, rung, nil
+			})
+		if err != nil && !errors.Is(err, checkpoint.ErrUnitDropped) {
+			return err
+		}
+		e.record(k, u.Payload, u.Quarantined, seed)
+		out[i] = u
+	}
+	return nil
 }

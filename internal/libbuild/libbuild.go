@@ -5,20 +5,25 @@
 // path in-process — kill a build mid-run, reopen the journal, and
 // assert the resumed library is bit-identical to an uninterrupted one.
 //
-// Work units go through checkpoint.Runner: a unit already journaled as
-// done or quarantined is restored (never refitted — its payload holds
+// One Executor characterises, seeds, fits and salvages every unit.
+// Build drives it locally, one pool task per arc of Plan(cfg); a
+// distributed worker (internal/dist) drives it one leased unit at a
+// time. Each LVF² fit is warm-started from the link its grid neighbour
+// left, a link derived from the neighbour's payload alone, so a unit's
+// payload does not depend on which of the two ran it.
+//
+// Build runs units through checkpoint.Runner: a unit already journaled
+// as done or quarantined is restored (never refitted — its payload holds
 // the fitted model parameters bit-exactly), a failing unit is retried
 // with jittered backoff, and a poison unit is quarantined with a
 // degraded emission from the fit.FitRobust ladder so one bad arc never
-// blocks the other 24 cell types. Monte-Carlo evaluation is shared per
-// grid point and skipped entirely when both of the point's units are
-// already resolved.
+// blocks the other 24 cell types. An arc's Monte-Carlo pass skips every
+// grid point whose two units are both already resolved.
 package libbuild
 
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -128,16 +133,14 @@ type arcJob struct {
 	pin     string // related input pin (checkpoint key + Liberty related_pin)
 }
 
-// arcTables is the per-arc build product, assembled after the pool so
-// the emitted library is independent of worker scheduling.
-type arcTables struct {
-	delay, trans *liberty.TimingModel
-	stats        Stats
+// key names the unit of kind at grid point (si, li) of the job's arc.
+func (j arcJob) key(si, li int, kind cells.Kind) checkpoint.Key {
+	return checkpoint.Key{Cell: j.arc.Cell, Pin: j.pin, Arc: j.arc.Label, Slew: si, Load: li, Kind: kind.String()}
 }
 
 // planJobs enumerates the arcs of a build in deterministic library
-// order, together with each cell type's input pin names. Build and the
-// distributed plan/executor share it so every process agrees on the
+// order, together with each cell type's input pin names. Plan, the
+// Executor and Build's assembly share it so every process agrees on the
 // unit universe.
 func planJobs(cfg Config) (jobs []arcJob, pinsOf [][]string) {
 	pinsOf = make([][]string, len(cfg.Types))
@@ -160,46 +163,47 @@ func planJobs(cfg Config) (jobs []arcJob, pinsOf [][]string) {
 }
 
 // Build characterises cfg.Types and returns the Liberty library group,
-// ready for liberty.WriteLibrary. On error (including cancellation) the
-// journal still holds every unit sealed so far, so a rerun against the
-// same journal resumes instead of restarting.
+// ready for liberty.WriteLibrary. It drives the Executor locally:
+// one pool task per arc of Plan(cfg) runs the arc's units
+// through checkpoint.Runner and the Executor, and Build itself only
+// counts stats and assembles the tables. On error (including
+// cancellation) the journal still holds every unit sealed so far, so a
+// rerun against the same journal resumes instead of restarting.
 func Build(ctx context.Context, cfg Config) (*liberty.Group, Stats, error) {
 	cfg.Char = cfg.Char.WithDefaults()
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
 	}
-	if len(cfg.Types) == 0 {
-		return nil, Stats{}, errors.New("libbuild: no cell types")
+	exec, err := NewExecutor(cfg)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	// Seal whatever the run produced even on the error paths: resumability
 	// of a failed run is the whole point of the journal.
 	defer cfg.Journal.Flush()
 
+	refs, _ := Plan(cfg)
 	jobs, pinsOf := planJobs(cfg)
-	results := make([]arcTables, len(jobs))
+	per := 2 * len(cfg.Char.SweepPoints()) // units per arc
+	units := make([]checkpoint.Unit, len(refs))
 	labels := make([]string, len(jobs))
 	for i, j := range jobs {
 		labels[i] = j.arc.Label
 	}
 	runner := &checkpoint.Runner{Journal: cfg.Journal, Policy: cfg.Retry}
-	err := pool.ForEachLabeled(ctx, pool.Options{Workers: cfg.Char.Workers, TaskTimeout: cfg.Char.ArcTimeout}, labels,
+	err = pool.ForEachLabeled(ctx, pool.Options{Workers: cfg.Char.Workers, TaskTimeout: cfg.Char.ArcTimeout}, labels,
 		func(tctx context.Context, i int) error {
-			t, berr := buildArc(tctx, cfg, runner, jobs[i].arc, jobs[i].pin)
-			if berr != nil {
-				return berr
-			}
-			results[i] = t
-			return nil
+			return exec.runArc(tctx, runner, refs[i*per:(i+1)*per], units[i*per:(i+1)*per])
 		})
 
 	var stats Stats
-	for _, r := range results {
-		stats.Units += r.stats.Units
-		stats.Restored += r.stats.Restored
-		stats.Quarantined += r.stats.Quarantined
-		stats.Fallbacks += r.stats.Fallbacks
-		stats.WarmHits += r.stats.WarmHits
-		stats.WarmRejected += r.stats.WarmRejected
+	tables := make([][2]*liberty.TimingModel, len(jobs))
+	for i := range jobs {
+		var terr error
+		tables[i], terr = arcTables(cfg, refs[i*per:(i+1)*per], units[i*per:(i+1)*per], &stats)
+		if err == nil {
+			err = terr
+		}
 	}
 	cfg.Journal.SetResumeSkipRatio(stats.Restored, stats.Units)
 	if err != nil {
@@ -217,25 +221,21 @@ func Build(ctx context.Context, cfg Config) (*liberty.Group, Stats, error) {
 		outPin := liberty.AddCell(lib, ct.Name, pinsOf[ti], ct.Base.CapIn, "ZN", "")
 		for ; job < len(jobs) && jobs[job].typeIdx == ti; job++ {
 			timing := liberty.AddTiming(outPin, jobs[job].pin, "positive_unate")
-			results[job].delay.AppendTo(timing, TemplateName, cfg.LVF2)
-			results[job].trans.AppendTo(timing, TemplateName, cfg.LVF2)
+			for _, tm := range tables[job] {
+				tm.AppendTo(timing, TemplateName, cfg.LVF2)
+			}
 		}
 	}
 	return lib, stats, nil
 }
 
-type distKey struct {
-	si, li int
-	kind   cells.Kind
-}
-
-// buildArc resolves one arc's units and assembles its delay/transition
-// timing models. Notes are accumulated in grid order (the order the
-// sequential pipeline produced them), so a resumed build emits the
-// same ocv_fallback_note_* strings as an uninterrupted one.
-func buildArc(ctx context.Context, cfg Config, runner *checkpoint.Runner, arc cells.Arc, pin string) (arcTables, error) {
-	grid := cfg.Char.Grid
-	stride := cfg.Char.GridStride
+// arcTables assembles one arc's delay and transition tables from its
+// resolved units (refs and units in plan order) and adds the units to
+// stats. Notes are joined in grid order, so a resumed or distributed
+// build emits the same ocv_fallback_note_* strings as an uninterrupted
+// one. A unit the build never reached (it failed first) is skipped.
+func arcTables(cfg Config, refs []UnitRef, units []checkpoint.Unit, stats *Stats) ([2]*liberty.TimingModel, error) {
+	grid, stride := cfg.Char.Grid, cfg.Char.GridStride
 	var idx1, idx2 []float64
 	for i := 0; i < len(grid.Slews); i += stride {
 		idx1 = append(idx1, grid.Slews[i])
@@ -243,149 +243,53 @@ func buildArc(ctx context.Context, cfg Config, runner *checkpoint.Runner, arc ce
 	for j := 0; j < len(grid.Loads); j += stride {
 		idx2 = append(idx2, grid.Loads[j])
 	}
-	points := cfg.Char.SweepPoints()
-
-	key := func(p cells.GridPoint, kind cells.Kind) checkpoint.Key {
-		return checkpoint.Key{Cell: arc.Cell, Pin: pin, Arc: arc.Label,
-			Slew: p.SlewIdx, Load: p.LoadIdx, Kind: kind.String()}
-	}
-	// MC evaluation is shared by a point's two units: skip it only when
-	// BOTH are terminal (a point with one unit still pending recomputes
-	// its samples — cheap relative to losing the resume guarantee).
-	skip := make(map[[2]int]bool, len(points))
-	for _, p := range points {
-		skip[[2]int{p.SlewIdx, p.LoadIdx}] = runner.Journal.Terminal(key(p, cells.Delay)) &&
-			runner.Journal.Terminal(key(p, cells.Transition))
-	}
-	charCfg := cfg.Char
-	charCfg.Skip = func(_ cells.Arc, si, li int) bool { return skip[[2]int{si, li}] }
-	dists, err := cells.CharacterizeArcCtx(ctx, charCfg, arc)
-	if err != nil {
-		return arcTables{}, err
-	}
-	byPoint := make(map[distKey]cells.Distribution, len(dists))
-	for _, d := range dists {
-		byPoint[distKey{si: d.SlewIdx, li: d.LoadIdx, kind: d.Kind}] = d
-	}
-
-	mk := func() ([][]float64, [][]core.Model) {
-		nom := make([][]float64, len(idx1))
-		mods := make([][]core.Model, len(idx1))
-		for i := range nom {
-			nom[i] = make([]float64, len(idx2))
-			mods[i] = make([]core.Model, len(idx2))
-		}
-		return nom, mods
-	}
-	nomD, modD := mk()
-	nomT, modT := mk()
-	var notesD, notesT []string
-
-	requested := requestedModel(cfg)
-	warmable := requested == fit.ModelLVF2 && !cfg.ColdStart
-	// anchors holds the column-0 warm-start seeds, one per kind. The
-	// first point of a row (lowest load) is the row anchor: it is seeded
-	// from the previous row's anchor — a column-0 chain down the slew
-	// axis, so only the very first row of an arc pays a cold multi-start.
-	// Within a row, every other entry is seeded by its *nearest fitted
-	// left neighbour* (rowSeed): a clean fit anywhere in the row becomes
-	// the seed for the next column, so the seed tracks the slow drift of
-	// the delay surface along the load axis instead of stretching one
-	// row-anchor seed across far columns — which is what turned the far
-	// columns' gate checks into rejections. A broken link (quarantined or
-	// degraded unit) is skipped over mid-row and cold-starts the next
-	// anchor at column 0; the chains self-heal on the next clean fit.
-	// Seeds are derived from the *decoded payload* model, never the
-	// in-memory fit result, so a resumed or distributed build derives
-	// bit-identical seeds from the journal and the assembled library does
-	// not depend on which process fitted the neighbour.
-	anchors := make(map[cells.Kind]*fit.Seed, 2)
-	prevAnchors := make(map[cells.Kind]*fit.Seed, 2)
-	rowSeed := make(map[cells.Kind]*fit.Seed, 2)
-	row := -1
-	var stats Stats
-	for _, p := range points {
-		if p.Row != row {
-			row = p.Row
-			prevAnchors[cells.Delay], prevAnchors[cells.Transition] = anchors[cells.Delay], anchors[cells.Transition]
-			anchors[cells.Delay], anchors[cells.Transition] = nil, nil
-			rowSeed[cells.Delay], rowSeed[cells.Transition] = nil, nil
-		}
-		for _, kind := range [...]cells.Kind{cells.Delay, cells.Transition} {
-			k := key(p, kind)
-			d, haveDist := byPoint[distKey{si: p.SlewIdx, li: p.LoadIdx, kind: kind}]
-			var seed *fit.Seed
-			if warmable {
-				if p.Col != 0 {
-					seed = rowSeed[kind]
-				} else {
-					seed = prevAnchors[kind]
-				}
-			}
-			unit, uerr := resolveUnit(ctx, cfg, runner, k, requested, d, haveDist, seed)
-			if uerr != nil && !errors.Is(uerr, checkpoint.ErrUnitDropped) {
-				return arcTables{}, uerr
-			}
-			stats.Units++
-			if unit.Restored {
-				stats.Restored++
-			}
-			if unit.Quarantined {
-				stats.Quarantined++
-			}
-			nom, model, note, warm, perr := unitResult(cfg, unit, arc, p, kind)
-			if perr != nil {
-				return arcTables{}, perr
-			}
-			if !unit.Restored {
-				switch warm {
-				case fit.WarmHit:
-					stats.WarmHits++
-				case fit.WarmRejected:
-					stats.WarmRejected++
-				}
-			}
-			if warmable {
-				// A quarantined, dropped or fallback-noted unit cannot
-				// seed: its model is a salvage rung, not a converged LVF²
-				// neighbour. Mid-row the previous clean neighbour keeps
-				// seeding past it; a dirty anchor breaks the column-0
-				// chain (and, since rowSeed was just reset, cold-starts
-				// the next column too).
-				clean := unit.Payload != nil && !unit.Quarantined && note == ""
-				if clean {
-					rowSeed[kind] = seedFromModel(model)
-				}
-				if p.Col == 0 {
-					if clean {
-						anchors[kind] = rowSeed[kind]
-					} else {
-						anchors[kind] = nil
-					}
-				}
-			}
-			if note != "" {
-				stats.Fallbacks++
-				fmt.Fprintf(cfg.Log, "libbuild: fallback: %s\n", note)
-				if kind == cells.Delay {
-					notesD = append(notesD, note)
-				} else {
-					notesT = append(notesT, note)
-				}
-			}
-			if kind == cells.Delay {
-				nomD[p.Row][p.Col], modD[p.Row][p.Col] = nom, model
-			} else {
-				nomT[p.Row][p.Col], modT[p.Row][p.Col] = nom, model
-			}
+	var noms [2][][]float64
+	var mods [2][][]core.Model
+	var notes [2][]string
+	for t := range noms {
+		noms[t], mods[t] = make([][]float64, len(idx1)), make([][]core.Model, len(idx1))
+		for r := range noms[t] {
+			noms[t][r], mods[t][r] = make([]float64, len(idx2)), make([]core.Model, len(idx2))
 		}
 	}
-
-	tmD := liberty.TimingModelFromFits("cell_rise", idx1, idx2, nomD, modD)
-	tmD.FallbackNote = strings.Join(notesD, "; ")
-	tmT := liberty.TimingModelFromFits("rise_transition", idx1, idx2, nomT, modT)
-	tmT.FallbackNote = strings.Join(notesT, "; ")
-	return arcTables{delay: tmD, trans: tmT, stats: stats}, nil
+	for i, u := range units {
+		if u.Key == (checkpoint.Key{}) {
+			continue
+		}
+		kind := cells.Kind(i % 2) // plan order alternates Delay, Transition
+		row, col := refs[i].Key.Slew/stride, refs[i].Key.Load/stride
+		stats.Units++
+		if u.Restored {
+			stats.Restored++
+		}
+		if u.Quarantined {
+			stats.Quarantined++
+		}
+		nom, model, note, warm, err := unitResult(cfg, u, refs[i].Arc, row, col, kind)
+		if err != nil {
+			return [2]*liberty.TimingModel{}, err
+		}
+		if !u.Restored {
+			switch warm {
+			case fit.WarmHit:
+				stats.WarmHits++
+			case fit.WarmRejected:
+				stats.WarmRejected++
+			}
+		}
+		if note != "" {
+			stats.Fallbacks++
+			fmt.Fprintf(cfg.Log, "libbuild: fallback: %s\n", note)
+			notes[kind] = append(notes[kind], note)
+		}
+		noms[kind][row][col], mods[kind][row][col] = nom, model
+	}
+	var out [2]*liberty.TimingModel
+	for t, group := range [...]string{"cell_rise", "rise_transition"} {
+		out[t] = liberty.TimingModelFromFits(group, idx1, idx2, noms[t], mods[t])
+		out[t].FallbackNote = strings.Join(notes[t], "; ")
+	}
+	return out, nil
 }
 
 // requestedModel is the fit model a configuration asks for.
@@ -408,9 +312,6 @@ func seedFromModel(m core.Model) *fit.Seed {
 
 // fitUnitPayload fits one unit's samples with the requested model —
 // warm-started from seed when non-nil — and encodes the journal payload.
-// The in-process build path and the distributed worker executor share
-// it, so a payload computed remotely is bit-identical to one computed
-// locally.
 func fitUnitPayload(requested fit.Model, gridStride int, k checkpoint.Key, d cells.Distribution, seed *fit.Seed) ([]byte, error) {
 	o := fit.RobustOptions{}
 	o.Options.Seed = seed
@@ -425,13 +326,12 @@ func fitUnitPayload(requested fit.Model, gridStride int, k checkpoint.Key, d cel
 	return encodeUnit(d.NomDelay, m, note, rep.Warm), nil
 }
 
-// salvageUnitPayload is the quarantine ladder shared by the build path
-// and the distributed worker: a Gaussian fit of the unit's samples when
-// they exist, else the ultimate rung — a floored Gaussian at the nominal
-// value, which is always constructible, so a poison unit still emits a
-// valid table entry.
-func salvageUnitPayload(d cells.Distribution, haveDist bool) (payload []byte, rung string) {
-	if haveDist {
+// salvageUnitPayload is the Executor's quarantine ladder: a Gaussian
+// fit of the unit's samples when they exist, else the ultimate rung — a
+// floored Gaussian at the nominal value, which is always constructible,
+// so a poison unit still emits a valid table entry.
+func salvageUnitPayload(d cells.Distribution) (payload []byte, rung string) {
+	if len(d.Samples) > 0 {
 		if m, rep, err := core.FitKindRobust(fit.ModelGaussian, d.Samples, fit.RobustOptions{}); err == nil {
 			return encodeUnit(d.NomDelay, m, "", fit.WarmCold), rep.Used.String()
 		}
@@ -441,45 +341,19 @@ func salvageUnitPayload(d cells.Distribution, haveDist bool) (payload []byte, ru
 	return encodeUnit(nom, m, "", fit.WarmCold), "floored-gaussian"
 }
 
-// resolveUnit runs one work unit through the checkpoint runner: restore
-// if terminal, otherwise fit with retry and quarantine salvage.
-func resolveUnit(ctx context.Context, cfg Config, runner *checkpoint.Runner, k checkpoint.Key, requested fit.Model, d cells.Distribution, haveDist bool, seed *fit.Seed) (checkpoint.Unit, error) {
-	run := func(context.Context) ([]byte, error) {
-		if cfg.fitHook != nil {
-			cfg.fitHook(k)
-		}
-		if cfg.fitErr != nil {
-			if err := cfg.fitErr(k); err != nil {
-				return nil, err
-			}
-		}
-		if !haveDist {
-			// Unreachable: a point is only skipped when both its units are
-			// terminal, and terminal units are restored before run is called.
-			return nil, fmt.Errorf("libbuild: no samples for unit %s", k)
-		}
-		return fitUnitPayload(requested, cfg.Char.GridStride, k, d, seed)
-	}
-	salvage := func(error) ([]byte, string, error) {
-		payload, rung := salvageUnitPayload(d, haveDist)
-		return payload, rung, nil
-	}
-	return runner.Do(ctx, k, run, salvage)
-}
-
 // unitResult turns a resolved unit into the (nominal, model, note, warm
 // outcome) tuple the table assembly consumes.
-func unitResult(cfg Config, unit checkpoint.Unit, arc cells.Arc, p cells.GridPoint, kind cells.Kind) (float64, core.Model, string, fit.WarmOutcome, error) {
+func unitResult(cfg Config, unit checkpoint.Unit, arc cells.Arc, row, col int, kind cells.Kind) (float64, core.Model, string, fit.WarmOutcome, error) {
 	if unit.Payload == nil {
 		// A dropped unit (quarantined with no salvage payload) still needs
 		// a finite table entry; reconstruct the nominal deterministically.
-		nd, nt := arc.Elec.NominalEval(cfg.Char.Corner, cfg.Char.Grid.Slews[p.SlewIdx], cfg.Char.Grid.Loads[p.LoadIdx])
+		nd, nt := arc.Elec.NominalEval(cfg.Char.Corner, cfg.Char.Grid.Slews[unit.Key.Slew], cfg.Char.Grid.Loads[unit.Key.Load])
 		nom := nd
 		if kind == cells.Transition {
 			nom = nt
 		}
 		m := core.FromLVF(core.Theta{Mean: nom, Sigma: math.Max(math.Abs(nom)*1e-9, 1e-12)})
-		note := fmt.Sprintf("%s (%d,%d): %s [dropped]", arc.Label, p.Row, p.Col, unit.Note)
+		note := fmt.Sprintf("%s (%d,%d): %s [dropped]", arc.Label, row, col, unit.Note)
 		return nom, m, note, fit.WarmCold, nil
 	}
 	nom, model, note, warm, err := decodeUnit(unit.Payload)
@@ -487,7 +361,7 @@ func unitResult(cfg Config, unit checkpoint.Unit, arc cells.Arc, p cells.GridPoi
 		return 0, core.Model{}, "", fit.WarmCold, fmt.Errorf("libbuild: unit %s payload: %w", unit.Key, err)
 	}
 	if unit.Quarantined {
-		note = fmt.Sprintf("%s (%d,%d): %s [%s]", arc.Label, p.Row, p.Col, unit.Note, unit.Rung)
+		note = fmt.Sprintf("%s (%d,%d): %s [%s]", arc.Label, row, col, unit.Note, unit.Rung)
 	}
 	return nom, model, note, warm, nil
 }
@@ -521,6 +395,13 @@ func encodeUnit(nom float64, m core.Model, note string, warm fit.WarmOutcome) []
 // CRC happened to verify (or because it arrived over the distributed
 // protocol, where no CRC vouches for it at all).
 const maxUnitPayload = 1 << 16
+
+// CheckPayload reports whether b decodes as a unit payload: a Done or
+// quarantined record must, or every later assembly of the library fails.
+func CheckPayload(b []byte) error {
+	_, _, _, _, err := decodeUnit(b)
+	return err
+}
 
 func decodeUnit(b []byte) (nom float64, m core.Model, note string, warm fit.WarmOutcome, err error) {
 	if len(b) < unitFloats*8+4 {

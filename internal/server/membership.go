@@ -189,12 +189,19 @@ func (p *replication) adoptMembership(m Membership, reason string) (bool, error)
 
 // persistMembership writes the adopted document back to the membership
 // file (when configured) so a restart boots at the latest epoch. The
-// write is atomic, so concurrent adoptions or a crash never leave a torn
-// file for the next boot to refuse. Best effort: a write failure costs
-// catch-up time on the next boot, nothing else.
+// write is atomic, so a crash never leaves a torn file for the next boot
+// to refuse. Adoptions persist after install releases p.mu, so two of
+// them can arrive here out of order: the writes are serialised, and an
+// epoch older than the last one written is skipped. Best effort: a
+// write failure costs catch-up time on the next boot, nothing else.
 func (p *replication) persistMembership(m Membership) {
 	path := p.opts.MembershipPath
 	if path == "" {
+		return
+	}
+	p.persistMu.Lock()
+	defer p.persistMu.Unlock()
+	if m.Epoch < p.persisted {
 		return
 	}
 	b, err := json.MarshalIndent(m, "", "  ")
@@ -204,7 +211,9 @@ func (p *replication) persistMembership(m Membership) {
 	b = append(b, '\n')
 	if err := modelcache.WriteFileAtomic(modelcache.OSFS{}, path, b); err != nil {
 		p.logger.Warn("lvf2d: membership persist failed", "path", path, "reason", err.Error())
+		return
 	}
+	p.persisted = m.Epoch
 }
 
 // syncMembershipFrom pulls a peer's full membership document and adopts

@@ -558,6 +558,29 @@ func TestPersistMembershipConcurrentWrites(t *testing.T) {
 	}
 }
 
+// TestPersistMembershipEpochOrder: two adoptions that both install
+// (epoch N+1, then N+2) persist after install releases its lock, so
+// their writes can race. Whatever the order, the file must end on the
+// newer epoch, or a restart boots at a stale one.
+func TestPersistMembershipEpochOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "membership.json")
+	p := &replication{opts: ReplicationOptions{MembershipPath: path}, logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
+	for k := uint64(0); k < 200; k++ {
+		var wg sync.WaitGroup
+		for _, epoch := range []uint64{2*k + 1, 2*k + 2} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.persistMembership(fleetMembers(epoch, "a", "b"))
+			}()
+		}
+		wg.Wait()
+		if m, err := LoadMembershipFile(path); err != nil || m.Epoch != 2*k+2 {
+			t.Fatalf("round %d: persisted epoch %d (%v), want %d", k, m.Epoch, err, 2*k+2)
+		}
+	}
+}
+
 // -------------------------------------------------------------- jitter
 
 // TestLoopJitter pins the seeded startup jitter: deterministic per

@@ -191,6 +191,9 @@ type replication struct {
 	watchMod   time.Time         // config watcher: last seen mtime
 	watchSum   [sha256.Size]byte // config watcher: last seen content hash
 
+	persistMu sync.Mutex // serialises membership-file writes
+	persisted uint64     // epoch of the last membership-file write
+
 	reqs           *obs.CounterVec // by peer, outcome
 	forwardSeconds *obs.Histogram
 	warmSeeded     *obs.Counter
