@@ -82,15 +82,16 @@ bench-smoke:
 # crash-safety guards + the benchmark smoke pass.
 check: vet build race allocbudget determinism chaos bench-smoke
 
-# Short fuzz pass over the Liberty/netlist parsers, the journaled
-# work-unit payload decoder, the distributed coordinator's worker
-# endpoints, the model-cache snapshot decoder, the lvf2d arc-query parse
-# step, the lvf2d netlist-request decoder and the membership document
-# parser.
+# Short fuzz pass over the Liberty/netlist parsers, the checkpoint
+# journal's segment decoder, the journaled work-unit payload decoder,
+# the distributed coordinator's worker endpoints, the model-cache
+# snapshot decoder, the lvf2d arc-query parse step, the lvf2d
+# netlist-request decoder and the membership document parser.
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s -run '^$$' ./internal/liberty/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s -run '^$$' ./internal/liberty/
 	$(GO) test -fuzz FuzzParseNetlist -fuzztime 30s -run '^$$' ./internal/netlist/
+	$(GO) test -fuzz FuzzJournalSegment -fuzztime 30s -run '^$$' ./internal/checkpoint/
 	$(GO) test -fuzz FuzzDecodeUnit -fuzztime 30s -run '^$$' ./internal/libbuild/
 	$(GO) test -fuzz FuzzCoordinatorComplete -fuzztime 30s -run '^$$' ./internal/dist/
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s -run '^$$' ./internal/modelcache/

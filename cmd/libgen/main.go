@@ -183,13 +183,7 @@ func main() {
 // how much progress survived, print the resume hint, exit 130.
 func interruptedExit(j *checkpoint.Journal, ckptDir string, sig os.Signal) {
 	j.Close()
-	sealed := 0
-	for _, rec := range j.Records() {
-		if rec.Status.Terminal() {
-			sealed++
-		}
-	}
-	fmt.Fprintf(os.Stderr, "libgen: interrupted by %v; journal flushed (%d units sealed)\n", sig, sealed)
+	fmt.Fprintf(os.Stderr, "libgen: interrupted by %v; journal flushed (%d units sealed)\n", sig, len(j.Records()))
 	if ckptDir != "" {
 		fmt.Fprintf(os.Stderr, "libgen: resume with: libgen -checkpoint %s -resume (plus your original flags)\n", ckptDir)
 	}

@@ -8,6 +8,12 @@
 // cells characterisation, the Table 1/Table 2 experiment drivers and
 // the libgen/exptables CLIs.
 //
+// A unit resolves through Journal.Do under one rule: restored if the
+// journal holds it, otherwise run once, and on failure quarantined with
+// its salvage payload and QuarantineNote. A unit's payload is a pure
+// function of its key and the fingerprinted configuration, so a failed
+// unit is never run again.
+//
 // Journal layout: a directory of sealed segments ckpt-NNNNNN.seg, each
 // written as a temp file and atomically installed (write, fsync,
 // rename) through the pluggable FS, so a reader never observes a
@@ -15,13 +21,20 @@
 //
 //	offset  size  field
 //	0       8     magic "LVF2JRN1"
-//	8       4     format version (currently 1)
+//	8       4     format version (currently 2)
 //	12      8     config fingerprint (FNV-64a of the canonical config)
 //	20      ...   records
 //
 // and each record is
 //
 //	u32 body length | u32 CRC-32 (IEEE) of body | body
+//
+// with body
+//
+//	u8 status | cell, pin, arc, kind, rung, note (each u32 length + bytes) |
+//	u32 slew | u32 load | payload (the rest of the body)
+//
+// Every record is terminal: done or quarantined.
 //
 // Replay is all-or-nothing per segment and validated record by record:
 // a torn tail (truncated record, bad final CRC — the shape a crashed
@@ -56,7 +69,7 @@ const journalMagic = "LVF2JRN1"
 // JournalVersion is the current segment format version. Decoders reject
 // any other version: records carry fitted model parameters, and a
 // silent cross-version reinterpretation would emit wrong timing.
-const JournalVersion = 1
+const JournalVersion = 2
 
 // maxRecordLen bounds a single record so a hostile length prefix cannot
 // drive a huge allocation before its CRC is verified.
@@ -80,13 +93,14 @@ func badJournal(format string, args ...any) error {
 }
 
 // Key is the full coordinate of one characterisation work unit.
+// The JSON tags are its wire form in the distributed protocol.
 type Key struct {
-	Cell string
-	Pin  string
-	Arc  string
-	Slew int // slew grid index
-	Load int // load grid index
-	Kind string
+	Cell string `json:"cell"`
+	Pin  string `json:"pin"`
+	Arc  string `json:"arc"`
+	Slew int    `json:"slew"` // slew grid index
+	Load int    `json:"load"` // load grid index
+	Kind string `json:"kind"`
 }
 
 func (k Key) String() string {
@@ -96,12 +110,10 @@ func (k Key) String() string {
 // Status is the journaled outcome of a unit.
 type Status uint8
 
-// Unit statuses. Done and Quarantined are terminal (the unit is never
-// recomputed on resume); Failed records an attempt count so the retry
-// budget survives a restart.
+// Unit statuses. Both are terminal: a journaled unit is never
+// recomputed on resume.
 const (
 	StatusDone Status = iota + 1
-	StatusFailed
 	StatusQuarantined
 )
 
@@ -110,26 +122,19 @@ func (s Status) String() string {
 	switch s {
 	case StatusDone:
 		return "done"
-	case StatusFailed:
-		return "failed"
 	case StatusQuarantined:
 		return "quarantined"
 	}
 	return fmt.Sprintf("status(%d)", uint8(s))
 }
 
-// Terminal reports whether s ends a unit: Done and Quarantined units are
-// never recomputed on resume.
-func (s Status) Terminal() bool { return s == StatusDone || s == StatusQuarantined }
-
 // Record is one journaled unit outcome.
 type Record struct {
-	Key      Key
-	Status   Status
-	Attempts int    // failed attempts so far (Failed) or total tries (terminal)
-	Rung     string // degradation rung that produced a quarantined emission
-	Note     string // provenance / cause, verbatim into ocv_fallback_note_*
-	Payload  []byte // serialised unit result (Done, Quarantined)
+	Key     Key
+	Status  Status
+	Rung    string // degradation rung that produced a quarantined emission
+	Note    string // provenance / cause, verbatim into ocv_fallback_note_*
+	Payload []byte // serialised unit result, or a quarantined unit's salvage
 }
 
 // Fingerprint identifies the configuration a journal belongs to. Two
@@ -203,7 +208,7 @@ func (o Options) withDefaults() Options {
 
 // Stats reports journal health for logs and tests.
 type Stats struct {
-	Resolved    int   // units replayed as Done or Quarantined at Open
+	Resolved    int   // units replayed at Open
 	TornRecords int   // tail records dropped at the last valid checksum
 	Segments    int   // sealed segments on disk
 	Bytes       int64 // sealed journal bytes
@@ -287,11 +292,7 @@ func Open(fsys FS, dir string, fp Fingerprint, opts Options) (*Journal, error) {
 		j.stats.Bytes += int64(len(b))
 		j.seq = n + 1
 	}
-	for _, rec := range j.state {
-		if rec.Status.Terminal() {
-			j.stats.Resolved++
-		}
-	}
+	j.stats.Resolved = len(j.state)
 	journalBytes.Set(float64(j.stats.Bytes), j.label)
 	return j, nil
 }
@@ -406,10 +407,11 @@ func (j *Journal) Lookup(k Key) (Record, bool) {
 	return rec, ok
 }
 
-// Terminal reports whether unit k is journaled with a terminal status.
+// Terminal reports whether unit k is journaled; every status is
+// terminal.
 func (j *Journal) Terminal(k Key) bool {
-	rec, ok := j.Lookup(k)
-	return ok && rec.Status.Terminal()
+	_, ok := j.Lookup(k)
+	return ok
 }
 
 // Records returns a snapshot of every journaled record (sealed and
@@ -438,21 +440,15 @@ func (j *Journal) Stats() Stats {
 }
 
 // Done journals a completed unit with its serialised result.
-func (j *Journal) Done(k Key, attempts int, payload []byte) error {
-	return j.append(Record{Key: k, Status: StatusDone, Attempts: attempts, Payload: payload})
-}
-
-// Failed journals one failed attempt, preserving the retry budget
-// across a restart.
-func (j *Journal) Failed(k Key, attempts int, cause string) error {
-	return j.append(Record{Key: k, Status: StatusFailed, Attempts: attempts, Note: cause})
+func (j *Journal) Done(k Key, payload []byte) error {
+	return j.append(Record{Key: k, Status: StatusDone, Payload: payload})
 }
 
 // Quarantined journals a poison unit together with the degraded
-// emission that stands in for it (rung = the FitRobust ladder rung that
-// produced payload; nil payload = the unit is dropped entirely).
-func (j *Journal) Quarantined(k Key, attempts int, rung, note string, payload []byte) error {
-	return j.append(Record{Key: k, Status: StatusQuarantined, Attempts: attempts, Rung: rung, Note: note, Payload: payload})
+// emission that stands in for it (rung = the salvage rung that produced
+// payload).
+func (j *Journal) Quarantined(k Key, rung, note string, payload []byte) error {
+	return j.append(Record{Key: k, Status: StatusQuarantined, Rung: rung, Note: note, Payload: payload})
 }
 
 func (j *Journal) append(rec Record) error {
@@ -533,7 +529,6 @@ func appendRecord(b []byte, rec Record) []byte {
 	}
 	body = binary.LittleEndian.AppendUint32(body, uint32(rec.Key.Slew))
 	body = binary.LittleEndian.AppendUint32(body, uint32(rec.Key.Load))
-	body = binary.LittleEndian.AppendUint32(body, uint32(rec.Attempts))
 	body = append(body, rec.Payload...)
 
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(body)))
@@ -616,13 +611,13 @@ func decodeRecordBody(body []byte) (Record, error) {
 			return rec, err
 		}
 	}
-	var slew, load, attempts uint32
-	for _, dst := range [...]*uint32{&slew, &load, &attempts} {
+	var slew, load uint32
+	for _, dst := range [...]*uint32{&slew, &load} {
 		if *dst, err = r.u32(); err != nil {
 			return rec, err
 		}
 	}
-	rec.Key.Slew, rec.Key.Load, rec.Attempts = int(slew), int(load), int(attempts)
+	rec.Key.Slew, rec.Key.Load = int(slew), int(load)
 	if r.rem() > 0 {
 		rec.Payload = append([]byte(nil), r.buf[r.off:]...)
 	}

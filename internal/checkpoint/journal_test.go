@@ -1,7 +1,10 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -30,13 +33,10 @@ func TestJournalRoundtrip(t *testing.T) {
 	j := mustOpen(t, fsys, "ckpt", testFP, Options{})
 
 	payload := []byte{1, 2, 3, 4}
-	if err := j.Done(testKey(0), 1, payload); err != nil {
+	if err := j.Done(testKey(0), payload); err != nil {
 		t.Fatalf("Done: %v", err)
 	}
-	if err := j.Failed(testKey(1), 2, "eval blew up"); err != nil {
-		t.Fatalf("Failed: %v", err)
-	}
-	if err := j.Quarantined(testKey(2), 3, "gaussian", "poison arc", []byte{9}); err != nil {
+	if err := j.Quarantined(testKey(2), "gaussian", "poison arc", []byte{9}); err != nil {
 		t.Fatalf("Quarantined: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -45,12 +45,8 @@ func TestJournalRoundtrip(t *testing.T) {
 
 	j2 := mustOpen(t, fsys, "ckpt", testFP, Options{})
 	rec, ok := j2.Lookup(testKey(0))
-	if !ok || rec.Status != StatusDone || rec.Attempts != 1 || string(rec.Payload) != string(payload) {
+	if !ok || rec.Status != StatusDone || string(rec.Payload) != string(payload) {
 		t.Errorf("done record = %+v ok=%v", rec, ok)
-	}
-	rec, ok = j2.Lookup(testKey(1))
-	if !ok || rec.Status != StatusFailed || rec.Attempts != 2 || rec.Note != "eval blew up" {
-		t.Errorf("failed record = %+v ok=%v", rec, ok)
 	}
 	rec, ok = j2.Lookup(testKey(2))
 	if !ok || rec.Status != StatusQuarantined || rec.Rung != "gaussian" || rec.Note != "poison arc" || string(rec.Payload) != "\x09" {
@@ -65,15 +61,15 @@ func TestJournalLatestRecordWins(t *testing.T) {
 	fsys := faultinject.NewMemFS()
 	j := mustOpen(t, fsys, "ckpt", testFP, Options{})
 	k := testKey(0)
-	j.Failed(k, 1, "first")
+	j.Quarantined(k, "gaussian", "first", []byte("salvage"))
 	j.Flush()
-	j.Failed(k, 2, "second")
-	j.Done(k, 3, []byte("final"))
+	j.Done(k, []byte("second"))
+	j.Done(k, []byte("final"))
 	j.Close()
 
 	j2 := mustOpen(t, fsys, "ckpt", testFP, Options{})
 	rec, ok := j2.Lookup(k)
-	if !ok || rec.Status != StatusDone || rec.Attempts != 3 || string(rec.Payload) != "final" {
+	if !ok || rec.Status != StatusDone || rec.Note != "" || string(rec.Payload) != "final" {
 		t.Errorf("latest record should win, got %+v ok=%v", rec, ok)
 	}
 }
@@ -81,10 +77,10 @@ func TestJournalLatestRecordWins(t *testing.T) {
 func TestJournalTornTailTolerated(t *testing.T) {
 	fsys := faultinject.NewMemFS()
 	j := mustOpen(t, fsys, "ckpt", testFP, Options{})
-	j.Done(testKey(0), 1, []byte("seg0"))
+	j.Done(testKey(0), []byte("seg0"))
 	j.Flush()
-	j.Done(testKey(1), 1, []byte("kept"))
-	j.Done(testKey(2), 1, []byte("torn-away"))
+	j.Done(testKey(1), []byte("kept"))
+	j.Done(testKey(2), []byte("torn-away"))
 	j.Close()
 
 	// Tear the newest segment mid-way through its final record: the kept
@@ -114,9 +110,9 @@ func TestJournalTornTailTolerated(t *testing.T) {
 func TestJournalTornBeforeHeaderTolerated(t *testing.T) {
 	fsys := faultinject.NewMemFS()
 	j := mustOpen(t, fsys, "ckpt", testFP, Options{})
-	j.Done(testKey(0), 1, nil)
+	j.Done(testKey(0), nil)
 	j.Flush()
-	j.Done(testKey(1), 1, nil)
+	j.Done(testKey(1), nil)
 	j.Close()
 	fsys.Truncate(filepath.Join("ckpt", segName(1)), segHeaderLen-5)
 
@@ -132,9 +128,9 @@ func TestJournalTornBeforeHeaderTolerated(t *testing.T) {
 func TestJournalMidCorruptionIsFatal(t *testing.T) {
 	fsys := faultinject.NewMemFS()
 	j := mustOpen(t, fsys, "ckpt", testFP, Options{})
-	j.Done(testKey(0), 1, []byte("seg0"))
+	j.Done(testKey(0), []byte("seg0"))
 	j.Flush()
-	j.Done(testKey(1), 1, []byte("seg1"))
+	j.Done(testKey(1), []byte("seg1"))
 	j.Close()
 
 	// Any malformation in a non-newest segment is corruption, not a torn
@@ -155,9 +151,9 @@ func TestJournalMidCorruptionIsFatal(t *testing.T) {
 func TestJournalBadMagicIsFatal(t *testing.T) {
 	fsys := faultinject.NewMemFS()
 	j := mustOpen(t, fsys, "ckpt", testFP, Options{})
-	j.Done(testKey(0), 1, nil)
+	j.Done(testKey(0), nil)
 	j.Flush()
-	j.Done(testKey(1), 1, nil)
+	j.Done(testKey(1), nil)
 	j.Close()
 	fsys.FlipByte(filepath.Join("ckpt", segName(0)), 0)
 
@@ -169,7 +165,7 @@ func TestJournalBadMagicIsFatal(t *testing.T) {
 func TestJournalFingerprintMismatch(t *testing.T) {
 	fsys := faultinject.NewMemFS()
 	j := mustOpen(t, fsys, "ckpt", testFP, Options{})
-	j.Done(testKey(0), 1, nil)
+	j.Done(testKey(0), nil)
 	j.Close()
 
 	other := testFP
@@ -187,7 +183,7 @@ func TestJournalFlushEveryRotation(t *testing.T) {
 	fsys := faultinject.NewMemFS()
 	j := mustOpen(t, fsys, "ckpt", testFP, Options{FlushEvery: 2})
 	for i := 0; i < 5; i++ {
-		j.Done(testKey(i), 1, nil)
+		j.Done(testKey(i), nil)
 	}
 	// 5 records at FlushEvery=2: two auto-sealed segments, one pending.
 	if st := j.Stats(); st.Segments != 2 {
@@ -207,7 +203,7 @@ func TestJournalFlushEveryRotation(t *testing.T) {
 func TestJournalReset(t *testing.T) {
 	fsys := faultinject.NewMemFS()
 	j := mustOpen(t, fsys, "ckpt", testFP, Options{})
-	j.Done(testKey(0), 1, nil)
+	j.Done(testKey(0), nil)
 	j.Close()
 
 	if err := Reset(fsys, "ckpt"); err != nil {
@@ -229,9 +225,9 @@ func TestOpenRun(t *testing.T) {
 	fsys := faultinject.NewMemFS()
 	seed := func() {
 		j := mustOpen(t, fsys, "ckpt", testFP, Options{})
-		j.Done(testKey(0), 1, []byte("seg0"))
+		j.Done(testKey(0), []byte("seg0"))
 		j.Flush()
-		j.Done(testKey(1), 1, []byte("seg1"))
+		j.Done(testKey(1), []byte("seg1"))
 		j.Close()
 	}
 	open := func(resume bool) (*Journal, string) {
@@ -262,13 +258,56 @@ func TestOpenRun(t *testing.T) {
 	}
 }
 
+// TestJournalRefusesOtherVersions: a segment stamped with any version
+// but JournalVersion is corrupt, so records of another format are never
+// misread, and a resumed command-line run says why, resets the
+// directory and starts cold.
+func TestJournalRefusesOtherVersions(t *testing.T) {
+	for _, v := range []uint32{0, 1, JournalVersion + 1, math.MaxUint32} {
+		fsys := faultinject.NewMemFS()
+		j := mustOpen(t, fsys, "ckpt", testFP, Options{})
+		j.Done(testKey(0), []byte("payload"))
+		j.Close()
+		path := filepath.Join("ckpt", segName(0))
+		b, err := fsys.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = append([]byte(nil), b...)
+		binary.LittleEndian.PutUint32(b[len(journalMagic):], v)
+		fsys.WriteFile(path, b)
+
+		_, err = Open(fsys, "ckpt", testFP, Options{})
+		if !errors.Is(err, ErrCorruptJournal) || errors.Is(err, ErrFingerprintMismatch) {
+			t.Errorf("version %d: Open = %v, want ErrCorruptJournal", v, err)
+		}
+
+		var warn strings.Builder
+		j2, err := OpenRun(fsys, "ckpt", testFP, true, &warn, "prog")
+		if err != nil {
+			t.Fatalf("version %d: OpenRun: %v", v, err)
+		}
+		want := fmt.Sprintf("prog: checkpoint: corrupt journal: unsupported version %d (this build reads %d) (%s) — starting cold\n",
+			v, JournalVersion, segName(0))
+		if warn.String() != want {
+			t.Errorf("version %d: warning %q, want %q", v, warn.String(), want)
+		}
+		if st := j2.Stats(); st.Resolved != 0 || st.Segments != 0 {
+			t.Errorf("version %d: stats after OpenRun = %+v, want a cold start", v, st)
+		}
+		if _, err := fsys.ReadFile(path); err == nil {
+			t.Errorf("version %d: the refused segment survived the reset", v)
+		}
+		j2.Close()
+	}
+}
+
 func TestJournalTerminal(t *testing.T) {
 	fsys := faultinject.NewMemFS()
 	j := mustOpen(t, fsys, "ckpt", testFP, Options{})
 	defer j.Close()
-	j.Done(testKey(0), 1, nil)
-	j.Failed(testKey(1), 1, "transient")
-	j.Quarantined(testKey(2), 3, "gaussian", "poison", nil)
+	j.Done(testKey(0), nil)
+	j.Quarantined(testKey(2), "gaussian", "poison", nil)
 	for i, want := range []bool{true, false, true, false} {
 		if got := j.Terminal(testKey(i)); got != want {
 			t.Errorf("Terminal(key %d) = %v, want %v", i, got, want)
@@ -298,7 +337,7 @@ func (f *flakyFS) Rename(oldpath, newpath string) error {
 func TestJournalSealFailureKeepsRecordsPending(t *testing.T) {
 	fsys := &flakyFS{MemFS: faultinject.NewMemFS(), failN: 1}
 	j := mustOpen(t, fsys, "ckpt", testFP, Options{})
-	j.Done(testKey(0), 1, []byte("survivor"))
+	j.Done(testKey(0), []byte("survivor"))
 
 	if err := j.Flush(); err == nil {
 		t.Fatal("Flush should surface the seal failure")
@@ -322,7 +361,7 @@ func TestJournalSealFailureKeepsRecordsPending(t *testing.T) {
 
 func TestJournalNilSafe(t *testing.T) {
 	var j *Journal
-	if err := j.Done(testKey(0), 1, nil); err != nil {
+	if err := j.Done(testKey(0), nil); err != nil {
 		t.Errorf("nil Done: %v", err)
 	}
 	if _, ok := j.Lookup(testKey(0)); ok {
@@ -343,7 +382,7 @@ func TestJournalOSFS(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	var fsys FS = OSFS{OSFS: modelcache.OSFS{}}
 	j := mustOpen(t, fsys, dir, testFP, Options{})
-	j.Done(testKey(0), 1, []byte("on disk"))
+	j.Done(testKey(0), []byte("on disk"))
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

@@ -5,15 +5,13 @@ import "lvf2/internal/obs"
 // Checkpoint metrics live in the process-wide default registry, so the
 // daemon's /metrics (which exposes obs.Default()) and any scraper
 // pointed at a long libgen/exptables run can watch durability health:
-// units completing, the retry and quarantine pressure, journal growth,
-// and how much of a resumed run was skipped.
+// units completing, the quarantine pressure, journal growth, and how
+// much of a resumed run was skipped.
 var (
 	unitsDone = obs.NewCounter(obs.Default(),
 		"lvf2_ckpt_units_done_total", "characterisation work units completed and journaled")
-	unitsRetried = obs.NewCounter(obs.Default(),
-		"lvf2_ckpt_units_retried_total", "work-unit retries scheduled after a failed attempt")
 	unitsQuarantined = obs.NewCounter(obs.Default(),
-		"lvf2_ckpt_units_quarantined_total", "poison work units quarantined after exhausting retries")
+		"lvf2_ckpt_units_quarantined_total", "poison work units quarantined on their failed run")
 	unitsRestored = obs.NewCounter(obs.Default(),
 		"lvf2_ckpt_units_restored_total", "work units restored from the journal on resume")
 	// journalBytes and resumeSkipRatio are per-journal series: the Table 1

@@ -42,9 +42,10 @@ type CoordinatorConfig struct {
 	PollWait time.Duration
 	// DeathBudget is how many worker deaths (lease expiries) one unit
 	// may cause before it is treated as poison and salvaged
-	// (default 2). Deaths are counted per coordinator incarnation —
-	// unlike the retry budget, they are not journaled, because a lease
-	// expiry blames the environment as much as the unit.
+	// (default 2). It is the only budget a unit has: a failure a worker
+	// reports sends the unit straight to salvage, since its fit is pure,
+	// but a lease expiry blames the environment as much as the unit.
+	// Deaths are counted per coordinator incarnation and not journaled.
 	DeathBudget int
 	// Now is the clock seam (default time.Now). Tests drive lease expiry
 	// with a fake clock; every lease, heartbeat and completion sweeps the
@@ -79,15 +80,13 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 // unitState is one plan unit's scheduling state. terminal mirrors the
 // journal; everything else is soft.
 type unitState struct {
-	ref       libbuild.UnitRef
-	pair      int // index of the (Delay, Transition) sibling group
-	terminal  bool
-	attempts  int // journal-persistent retry budget consumed
-	deaths    int // workers this unit's lease died under (this incarnation)
-	salvage   bool
-	lastErr   string
-	leaseID   uint64 // 0 = not leased
-	notBefore time.Time
+	ref      libbuild.UnitRef
+	pair     int // index of the (Delay, Transition) sibling group
+	terminal bool
+	deaths   int // workers this unit's lease died under (this incarnation)
+	salvage  bool
+	lastErr  string // the cause that sent the unit to salvage
+	leaseID  uint64 // 0 = not leased
 }
 
 // activeLease is one outstanding grant.
@@ -104,8 +103,6 @@ type activeLease struct {
 type Coordinator struct {
 	cfg     CoordinatorConfig
 	fp      checkpoint.Fingerprint
-	retry   checkpoint.RetryPolicy
-	maxAtt  int
 	metrics *obs.HTTPMetrics
 
 	mu        sync.Mutex
@@ -119,11 +116,11 @@ type Coordinator struct {
 }
 
 // NewCoordinator plans the build and restores scheduling state from the
-// journal: Done/Quarantined units are terminal, Failed records carry
-// their consumed attempts (a unit whose budget is already spent goes
-// straight to the salvage queue). Nothing else survives a restart —
-// leases and death counts start empty, which is safe: stale leases on
-// dead workers simply never submit, and live workers rejoin.
+// journal: every journaled unit is terminal. Nothing else survives a
+// restart — leases, death counts and pending salvage start empty, which
+// is safe: stale leases on dead workers simply never submit, live
+// workers rejoin, and a unit that was bound for salvage fails again on
+// its next lease and is routed there again.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Build.Journal == nil {
@@ -133,16 +130,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	retry := cfg.Build.Retry
-	maxAtt := 3
-	if retry.MaxAttempts > 0 {
-		maxAtt = retry.MaxAttempts
-	}
 	c := &Coordinator{
 		cfg:     cfg,
 		fp:      cfg.Build.Fingerprint(),
-		retry:   retry,
-		maxAtt:  maxAtt,
 		metrics: obs.NewHTTPMetrics(obs.Default(), "lvf2_dist"),
 		byKey:   make(map[checkpoint.Key]*unitState, len(refs)),
 		leases:  make(map[uint64]*activeLease),
@@ -150,19 +140,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		done:    make(chan struct{}),
 	}
 	for i, ref := range refs {
-		u := &unitState{ref: ref, pair: i / 2}
-		if rec, ok := cfg.Build.Journal.Lookup(ref.Key); ok {
-			switch {
-			case rec.Status.Terminal():
-				u.terminal = true
-			case rec.Status == checkpoint.StatusFailed:
-				u.attempts = rec.Attempts
-				if u.attempts >= maxAtt {
-					u.salvage = true
-					u.lastErr = rec.Note
-				}
-			}
-		}
+		u := &unitState{ref: ref, pair: i / 2, terminal: cfg.Build.Journal.Terminal(ref.Key)}
 		c.units = append(c.units, u)
 		c.byKey[ref.Key] = u
 		if !u.terminal {
@@ -264,9 +242,7 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 		workersGauge.Set(int64(len(c.workers)))
 	}
 
-	leasable := func(u *unitState) bool {
-		return !u.terminal && u.leaseID == 0 && !now.Before(u.notBefore)
-	}
+	leasable := func(u *unitState) bool { return !u.terminal && u.leaseID == 0 }
 	for i, u := range c.units {
 		if !leasable(u) {
 			continue
@@ -276,25 +252,23 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 		grant := []*unitState{u}
 		if !u.salvage {
 			// Sweep the rest of the pair in plan order (the sibling is
-			// adjacent, but may already be terminal or backing off).
+			// adjacent, but may already be terminal, leased or salvage).
 			for j := i + 1; j < len(c.units) && c.units[j].pair == u.pair; j++ {
 				if s := c.units[j]; leasable(s) && !s.salvage {
 					grant = append(grant, s)
 				}
 			}
 		}
-		wire := make([]WireKey, len(grant))
-		for gi, g := range grant {
+		for _, g := range grant {
 			g.leaseID = l.id
 			l.keys = append(l.keys, g.ref.Key)
-			wire[gi] = FromKey(g.ref.Key)
 		}
 		c.leases[l.id] = l
 		leasesGranted.Inc()
 		fmt.Fprintf(c.cfg.Log, "dist: lease %d -> worker %s: %d unit(s), salvage=%v\n",
 			l.id, req.Worker, len(grant), u.salvage)
 		return LeaseResponse{Lease: &Lease{
-			ID: l.id, Keys: wire, Salvage: u.salvage, LastErr: u.lastErr,
+			ID: l.id, Keys: l.keys, Salvage: u.salvage, LastErr: u.lastErr,
 			TTLMs: c.cfg.LeaseTTL.Milliseconds(),
 		}}
 	}
@@ -333,7 +307,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		resultsTotal.Inc("fingerprint_mismatch")
 		return CompleteResponse{}, fmt.Errorf("%w: got %x, build is %x", ErrSpecMismatch, req.Fingerprint, c.fp.Hash())
 	}
-	k := req.Key.ToKey()
+	k := req.Key
 	u, ok := c.byKey[k]
 	if !ok {
 		resultsTotal.Inc("unknown_unit")
@@ -356,38 +330,30 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	j := c.cfg.Build.Journal
 	switch {
 	case req.OK && req.Rung == "":
-		if err := j.Done(k, u.attempts+1, req.Payload); err != nil {
+		if err := j.Done(k, req.Payload); err != nil {
 			fmt.Fprintf(c.cfg.Log, "dist: journal %s: %v\n", k, err)
 		}
 		resultsTotal.Inc("done")
 		c.markTerminalLocked(u)
 	case req.OK:
-		// Salvage emission: quarantine with the same note format the
-		// single-process runner writes, so the emitted library carries
-		// identical provenance either way.
+		// Salvage emission: quarantine with the note a single-process
+		// build writes, so the emitted library carries identical
+		// provenance either way.
 		lastErr := u.lastErr
 		if lastErr == "" {
 			lastErr = req.Err
 		}
-		note := fmt.Sprintf("quarantined after %d attempts: %s", u.attempts, lastErr)
-		if err := j.Quarantined(k, u.attempts, req.Rung, note, req.Payload); err != nil {
+		if err := j.Quarantined(k, req.Rung, checkpoint.QuarantineNote(lastErr), req.Payload); err != nil {
 			fmt.Fprintf(c.cfg.Log, "dist: journal %s: %v\n", k, err)
 		}
 		resultsTotal.Inc("quarantined")
 		c.markTerminalLocked(u)
 	default:
-		// Worker-observed unit fault: spend one attempt of the
-		// journal-persistent retry budget and back the unit off.
-		u.attempts++
-		if err := j.Failed(k, u.attempts, req.Err); err != nil {
-			fmt.Fprintf(c.cfg.Log, "dist: journal %s: %v\n", k, err)
-		}
+		// Worker-observed unit fault: the fit is pure, so a re-run would
+		// fail the same way. The unit's next lease is a salvage lease.
 		resultsTotal.Inc("failed")
-		if u.attempts >= c.maxAtt {
-			u.salvage = true
-			u.lastErr = req.Err
-		} else {
-			u.notBefore = now.Add(c.retry.Delay(k, u.attempts))
+		if !u.salvage {
+			u.salvage, u.lastErr = true, req.Err
 		}
 	}
 	return CompleteResponse{Accepted: true, Done: c.remaining == 0}, nil

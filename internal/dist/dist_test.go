@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -19,12 +20,6 @@ import (
 	"lvf2/internal/liberty"
 )
 
-// fastRetry keeps retry/backoff instant in tests.
-var fastRetry = checkpoint.RetryPolicy{
-	MaxAttempts: 2,
-	Sleep:       func(ctx context.Context, _ time.Duration) error { return ctx.Err() },
-}
-
 // testBuild is the same 32-unit build the libbuild suite uses: two cell
 // types, two arcs each, a 2×2 subsampled grid.
 func testBuild(j *checkpoint.Journal) libbuild.Config {
@@ -40,7 +35,6 @@ func testBuild(j *checkpoint.Journal) libbuild.Config {
 			Workers:    2,
 		},
 		LVF2:    true,
-		Retry:   fastRetry,
 		Journal: j,
 	}
 }
@@ -53,7 +47,6 @@ func smallBuild(j *checkpoint.Journal) libbuild.Config {
 		ArcsPer: 1,
 		Char:    cells.CharConfig{Samples: 200, Seed: 7, GridStride: 4},
 		LVF2:    true,
-		Retry:   fastRetry,
 		Journal: j,
 	}
 }
@@ -97,8 +90,8 @@ func assembleLib(t *testing.T, cfg libbuild.Config) ([]byte, libbuild.Stats) {
 }
 
 // assertOneTerminalPerKey replays the journal's full append history and
-// fails if any unit was journaled terminal more than once — the
-// no-double-journal invariant of idempotent completion.
+// fails if any unit was journaled more than once (every record is
+// terminal) — the no-double-journal invariant of idempotent completion.
 func assertOneTerminalPerKey(t *testing.T, fsys checkpoint.FS, dir string, fp checkpoint.Fingerprint) {
 	t.Helper()
 	recs, err := checkpoint.ReplayRecords(fsys, dir, fp)
@@ -107,9 +100,7 @@ func assertOneTerminalPerKey(t *testing.T, fsys checkpoint.FS, dir string, fp ch
 	}
 	terminal := map[checkpoint.Key]int{}
 	for _, rec := range recs {
-		if rec.Status.Terminal() {
-			terminal[rec.Key]++
-		}
+		terminal[rec.Key]++
 	}
 	for k, n := range terminal {
 		if n > 1 {
@@ -193,7 +184,7 @@ func TestCompleteRejectsUndecodablePayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := FromKey(refs[0].Key)
+	k := refs[0].Key
 	w := &worker{cfg: WorkerConfig{ID: "w1", URL: srv.URL}.withDefaults()}
 	for _, rung := range []string{"", "gaussian"} {
 		var resp CompleteResponse
@@ -203,7 +194,7 @@ func TestCompleteRejectsUndecodablePayload(t *testing.T) {
 			t.Fatalf("undecodable payload (rung %q): %v, want a 400", rung, err)
 		}
 	}
-	if rec, ok := j.Lookup(k.ToKey()); ok {
+	if rec, ok := j.Lookup(k); ok {
 		t.Fatalf("undecodable payload journaled: %+v", rec)
 	}
 
@@ -239,15 +230,15 @@ func newTestCoordinator(t *testing.T, cfg libbuild.Config, clk *faultinject.Cloc
 
 // salvagePayload is a real, decodable unit payload for k: the Executor's
 // salvage emission, the cheapest payload the coordinator accepts.
-func salvagePayload(t testing.TB, cfg libbuild.Config, k WireKey) []byte {
+func salvagePayload(t testing.TB, cfg libbuild.Config, k checkpoint.Key) []byte {
 	t.Helper()
 	e, err := libbuild.NewExecutor(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, _, err := e.Salvage(context.Background(), k.ToKey())
+	payload, _, err := e.Salvage(context.Background(), k)
 	if err != nil {
-		t.Fatalf("Salvage(%s): %v", k.ToKey(), err)
+		t.Fatalf("Salvage(%s): %v", k, err)
 	}
 	return payload
 }
@@ -286,7 +277,7 @@ func TestCompleteIsIdempotent(t *testing.T) {
 	}
 	n := 0
 	for _, rec := range recs {
-		if rec.Key == lr.Lease.Keys[0].ToKey() {
+		if rec.Key == lr.Lease.Keys[0] {
 			n++
 		}
 	}
@@ -351,7 +342,7 @@ func TestDeathBudgetRoutesUnitToSalvage(t *testing.T) {
 	c := newTestCoordinator(t, cfg, clk, 2)
 
 	// The same pair kills two workers in a row.
-	var firstKeys []WireKey
+	var firstKeys []checkpoint.Key
 	for death := 1; death <= 2; death++ {
 		l := c.Lease(LeaseRequest{Worker: fmt.Sprintf("victim%d", death)}).Lease
 		if l == nil {
@@ -380,81 +371,69 @@ func TestDeathBudgetRoutesUnitToSalvage(t *testing.T) {
 	if err != nil || !resp.Accepted {
 		t.Fatalf("salvage Complete = %+v, %v", resp, err)
 	}
-	rec, ok := cfg.Journal.Lookup(sl.Keys[0].ToKey())
+	rec, ok := cfg.Journal.Lookup(sl.Keys[0])
 	if !ok || rec.Status != checkpoint.StatusQuarantined || rec.Rung != "gaussian" {
 		t.Fatalf("journal record = %+v ok=%v, want quarantined with rung", rec, ok)
 	}
-	if !strings.Contains(rec.Note, "quarantined after") || !strings.Contains(rec.Note, "outlived 2 workers") {
-		t.Fatalf("quarantine note = %q, want attempts + cause", rec.Note)
+	if want := checkpoint.QuarantineNote(sl.LastErr); rec.Note != want {
+		t.Fatalf("quarantine note = %q, want %q", rec.Note, want)
 	}
 }
 
+// TestReportedFailuresSpendRetryBudgetThenSalvage: a failure a worker
+// reports is never re-run, since the fit is pure, so the unit comes
+// straight back as the next lease — a salvage lease carrying the
+// reported cause — and is quarantined with the note a single-process
+// build writes for the same failure.
 func TestReportedFailuresSpendRetryBudgetThenSalvage(t *testing.T) {
 	fsys := faultinject.NewMemFS()
 	cfg := smallBuild(openJournal(t, fsys, "ckpt", smallBuild(nil).Fingerprint()))
 	clk := faultinject.NewClock(time.Time{})
 	c := newTestCoordinator(t, cfg, clk, 99)
 
+	const cause = "synthetic fit explosion"
 	l := c.Lease(LeaseRequest{Worker: "w1"}).Lease
 	k := l.Keys[0]
-	fail := CompleteRequest{Worker: "w1", Fingerprint: cfg.Fingerprint().Hash(),
-		LeaseID: l.ID, Key: k, OK: false, Err: "synthetic fit explosion"}
-	if _, err := c.Complete(fail); err != nil {
-		t.Fatalf("first failure: %v", err)
+	if _, err := c.Complete(CompleteRequest{Worker: "w1", Fingerprint: cfg.Fingerprint().Hash(),
+		LeaseID: l.ID, Key: k, OK: false, Err: cause}); err != nil {
+		t.Fatalf("reported failure: %v", err)
 	}
-	rec, ok := cfg.Journal.Lookup(k.ToKey())
-	if !ok || rec.Status != checkpoint.StatusFailed || rec.Attempts != 1 {
-		t.Fatalf("after first failure, record = %+v ok=%v", rec, ok)
+	if rec, ok := cfg.Journal.Lookup(k); ok {
+		t.Fatalf("reported failure journaled as %+v; only outcomes are journaled", rec)
 	}
 
-	// The unit backs off before its retry lease; the sibling remains
-	// leased to w1, so the next grant (after backoff) is the failed unit.
-	clk.Advance(time.Hour) // w1's lease expires; sibling re-pends too
-	l2 := c.Lease(LeaseRequest{Worker: "w2"}).Lease
-	if l2 == nil || l2.Salvage {
-		t.Fatalf("second lease = %+v, want a normal retry lease", l2)
+	sl := c.Lease(LeaseRequest{Worker: "w2"}).Lease
+	if sl == nil || !sl.Salvage || len(sl.Keys) != 1 || sl.Keys[0] != k || sl.LastErr != cause {
+		t.Fatalf("next lease = %+v, want a salvage lease of %s carrying %q", sl, k, cause)
 	}
-	if _, err := c.Complete(CompleteRequest{Worker: "w2", Fingerprint: cfg.Fingerprint().Hash(),
-		LeaseID: l2.ID, Key: k, OK: false, Err: "synthetic fit explosion"}); err != nil {
-		t.Fatalf("second failure: %v", err)
-	}
-
-	// MaxAttempts=2 is spent: the unit must come back as salvage with the
-	// reported cause.
-	clk.Advance(time.Hour)
-	var sl *Lease
-	for i := 0; i < 8; i++ {
-		got := c.Lease(LeaseRequest{Worker: "w3"}).Lease
-		if got == nil {
-			break
-		}
-		if got.Salvage && got.Keys[0] == k {
-			sl = got
-			break
-		}
-	}
-	if sl == nil {
-		t.Fatal("exhausted unit never offered as a salvage lease")
-	}
-	if sl.LastErr != "synthetic fit explosion" {
-		t.Fatalf("salvage LastErr = %q, want the reported failure", sl.LastErr)
-	}
-	resp, err := c.Complete(CompleteRequest{Worker: "w3", Fingerprint: cfg.Fingerprint().Hash(),
-		LeaseID: sl.ID, Key: k, OK: true, Payload: salvagePayload(t, cfg, k), Rung: "floored-gaussian"})
+	payload := salvagePayload(t, cfg, k)
+	resp, err := c.Complete(CompleteRequest{Worker: "w2", Fingerprint: cfg.Fingerprint().Hash(),
+		LeaseID: sl.ID, Key: k, OK: true, Payload: payload, Rung: "floored-gaussian", Err: sl.LastErr})
 	if err != nil || !resp.Accepted {
 		t.Fatalf("salvage Complete = %+v, %v", resp, err)
 	}
-	rec, _ = cfg.Journal.Lookup(k.ToKey())
-	want := "quarantined after 2 attempts: synthetic fit explosion"
-	if rec.Status != checkpoint.StatusQuarantined || rec.Note != want {
-		t.Fatalf("quarantine record = %+v, want note %q", rec, want)
+
+	local, err := checkpoint.Open(faultinject.NewMemFS(), "local", cfg.Fingerprint(), checkpoint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := local.Do(context.Background(), k,
+		func(context.Context) ([]byte, error) { return nil, errors.New(cause) },
+		func(error) ([]byte, string) { return payload, "floored-gaussian" })
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := cfg.Journal.Lookup(k)
+	if rec.Status != checkpoint.StatusQuarantined || rec.Note != want.Note || rec.Rung != want.Rung ||
+		!bytes.Equal(rec.Payload, want.Payload) {
+		t.Fatalf("quarantine record = %+v, want the single-process one %+v", rec, want)
 	}
 }
 
 // TestCoordinatorRestartRecoversFromJournal kills the coordinator (all
 // soft state lost) and restarts it against the same journal: terminal
-// units stay terminal, a half-spent retry budget survives, and the
-// remaining work drains normally.
+// units stay terminal, a reported failure left nothing in the journal,
+// and the remaining work drains normally.
 func TestCoordinatorRestartRecoversFromJournal(t *testing.T) {
 	fsys := faultinject.NewMemFS()
 	fp := smallBuild(nil).Fingerprint()
@@ -463,7 +442,7 @@ func TestCoordinatorRestartRecoversFromJournal(t *testing.T) {
 	clk := faultinject.NewClock(time.Time{})
 	c := newTestCoordinator(t, cfg, clk, 99)
 
-	// Complete one pair, fail one unit once, leave a lease dangling.
+	// Complete one pair, report one unit failed, leave a lease dangling.
 	l1 := c.Lease(LeaseRequest{Worker: "w1"}).Lease
 	for _, k := range l1.Keys {
 		if _, err := c.Complete(CompleteRequest{Worker: "w1", Fingerprint: fp.Hash(),
@@ -486,9 +465,7 @@ func TestCoordinatorRestartRecoversFromJournal(t *testing.T) {
 	clk2 := faultinject.NewClock(time.Time{})
 	c2 := newTestCoordinator(t, cfg2, clk2, 99)
 
-	// 8 units, 2 terminal: 6 pending, and the failed unit still owes its
-	// journaled attempt.
-	clk2.Advance(time.Hour) // clear any notBefore backoff
+	// 8 units, 2 terminal: 6 pending, the failed unit among them.
 	seen := map[checkpoint.Key]bool{}
 	for {
 		lr := c2.Lease(LeaseRequest{Worker: "w2"})
@@ -498,14 +475,13 @@ func TestCoordinatorRestartRecoversFromJournal(t *testing.T) {
 		if lr.Lease == nil {
 			t.Fatalf("restarted coordinator stalled with %d units completed", len(seen))
 		}
-		for _, wk := range lr.Lease.Keys {
-			k := wk.ToKey()
+		for _, k := range lr.Lease.Keys {
 			if seen[k] {
 				t.Fatalf("unit %s leased twice after completion", k)
 			}
 			seen[k] = true
 			if _, err := c2.Complete(CompleteRequest{Worker: "w2", Fingerprint: fp.Hash(),
-				LeaseID: lr.Lease.ID, Key: wk, OK: true, Payload: salvagePayload(t, cfg2, wk)}); err != nil {
+				LeaseID: lr.Lease.ID, Key: k, OK: true, Payload: salvagePayload(t, cfg2, k)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -514,8 +490,8 @@ func TestCoordinatorRestartRecoversFromJournal(t *testing.T) {
 		t.Fatalf("restarted coordinator leased %d units, want the 6 non-terminal ones", len(seen))
 	}
 	for _, k := range l1.Keys {
-		if seen[k.ToKey()] {
-			t.Fatalf("terminal unit %s re-leased after restart", k.ToKey())
+		if seen[k] {
+			t.Fatalf("terminal unit %s re-leased after restart", k)
 		}
 	}
 	if !c2.Done() {
@@ -545,7 +521,7 @@ func TestFingerprintMismatchRejectedWith409(t *testing.T) {
 	if !errors.Is(err, ErrSpecMismatch) {
 		t.Fatalf("mismatched submission error = %v, want ErrSpecMismatch (from a 409)", err)
 	}
-	if _, ok := cfg.Journal.Lookup(l.Keys[0].ToKey()); ok {
+	if _, ok := cfg.Journal.Lookup(l.Keys[0]); ok {
 		t.Fatal("mismatched submission reached the journal")
 	}
 }
@@ -579,7 +555,7 @@ func (b *blockingExecutor) Salvage(ctx context.Context, k checkpoint.Key) ([]byt
 // cancellation-races-lease-expiry satellite: a worker wedged mid-unit
 // whose lease disappears (the unit finished elsewhere) must abandon the
 // unit without submitting anything — the unit is journaled exactly
-// once, by the other party, and never as Failed.
+// once, as done, by the other party.
 func TestWorkerAbandonsRevokedLease(t *testing.T) {
 	fsys := faultinject.NewMemFS()
 	fp := smallBuild(nil).Fingerprint()
@@ -630,7 +606,7 @@ func TestWorkerAbandonsRevokedLease(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp, err := c.Complete(CompleteRequest{Worker: "twin", Fingerprint: fp.Hash(),
-			Key: FromKey(ref.Key), OK: true, Payload: payload})
+			Key: ref.Key, OK: true, Payload: payload})
 		if err != nil || !resp.Accepted {
 			t.Fatalf("twin Complete(%s) = %+v, %v", ref.Key, resp, err)
 		}
@@ -649,8 +625,8 @@ func TestWorkerAbandonsRevokedLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range recs {
-		if rec.Key == refs[0].Key && rec.Status == checkpoint.StatusFailed {
-			t.Fatalf("abandoned unit journaled as Failed: %+v", rec)
+		if rec.Key == refs[0].Key && rec.Status != checkpoint.StatusDone {
+			t.Fatalf("abandoned unit journaled as %v: %+v", rec.Status, rec)
 		}
 	}
 	assertOneTerminalPerKey(t, fsys, "ckpt", fp)
@@ -680,5 +656,21 @@ func TestReadyzAndMetrics(t *testing.T) {
 	}
 	if code, body := get("/metrics"); code != http.StatusOK || !strings.Contains(body, "lvf2_dist_units_pending") {
 		t.Fatalf("/metrics = %d, missing dist series: %.200s", code, body)
+	}
+}
+
+// TestKeyWireJSON pins a unit key's wire form, the bytes every lease
+// and result submission carries: coordinators and workers of one build
+// must read each other's keys.
+func TestKeyWireJSON(t *testing.T) {
+	k := checkpoint.Key{Cell: "NAND2", Pin: "B", Arc: "NAND2/arc01", Slew: 4, Load: 0, Kind: "Transition"}
+	const want = `{"cell":"NAND2","pin":"B","arc":"NAND2/arc01","slew":4,"load":0,"kind":"Transition"}`
+	b, err := json.Marshal(k)
+	if err != nil || string(b) != want {
+		t.Fatalf("json.Marshal(%s) = %s, %v; want %s", k, b, err, want)
+	}
+	var back checkpoint.Key
+	if err := json.Unmarshal([]byte(want), &back); err != nil || back != k {
+		t.Fatalf("json.Unmarshal(%s) = %+v, %v; want %+v", want, back, err, k)
 	}
 }

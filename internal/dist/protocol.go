@@ -1,8 +1,8 @@
 // Package dist distributes a journaled library build across processes:
 // a coordinator leases checkpoint work units to workers over plain
 // HTTP/JSON and journals their results, so N machines characterise one
-// library with the same durability, retry and quarantine semantics —
-// and the same bits — as a single resumable process.
+// library with the same durability and quarantine semantics — and the
+// same bits — as a single resumable process.
 //
 // The protocol is deliberately small:
 //
@@ -36,26 +36,6 @@ const (
 	PathHeartbeat = "/v1/dist/heartbeat"
 	PathComplete  = "/v1/dist/complete"
 )
-
-// WireKey is checkpoint.Key in JSON clothing.
-type WireKey struct {
-	Cell string `json:"cell"`
-	Pin  string `json:"pin"`
-	Arc  string `json:"arc"`
-	Slew int    `json:"slew"`
-	Load int    `json:"load"`
-	Kind string `json:"kind"`
-}
-
-// ToKey converts back to the journal's key type.
-func (w WireKey) ToKey() checkpoint.Key {
-	return checkpoint.Key{Cell: w.Cell, Pin: w.Pin, Arc: w.Arc, Slew: w.Slew, Load: w.Load, Kind: w.Kind}
-}
-
-// FromKey wraps a journal key for the wire.
-func FromKey(k checkpoint.Key) WireKey {
-	return WireKey{Cell: k.Cell, Pin: k.Pin, Arc: k.Arc, Slew: k.Slew, Load: k.Load, Kind: k.Kind}
-}
 
 // BuildSpec is the portable description of one library build — the
 // fields a worker needs to reconstruct the coordinator's
@@ -132,11 +112,11 @@ type LeaseRequest struct {
 // so the worker shares their Monte-Carlo pass — or, when Salvage is
 // set, a single poison unit to run through the quarantine ladder.
 type Lease struct {
-	ID      uint64    `json:"id"`
-	Keys    []WireKey `json:"keys"`
-	Salvage bool      `json:"salvage"`
-	// LastErr is the recorded cause that exhausted a salvage unit's
-	// budget; it becomes part of the quarantine note.
+	ID      uint64           `json:"id"`
+	Keys    []checkpoint.Key `json:"keys"`
+	Salvage bool             `json:"salvage"`
+	// LastErr is the cause that sent a salvage unit to the ladder; it
+	// becomes its quarantine note.
 	LastErr string `json:"last_err,omitempty"`
 	TTLMs   int64  `json:"ttl_ms"`
 }
@@ -145,8 +125,8 @@ type Lease struct {
 type LeaseResponse struct {
 	// Done reports every unit is journaled terminal: the worker exits.
 	Done bool `json:"done"`
-	// WaitMs asks the worker to poll again later (everything leasable is
-	// currently leased or backing off).
+	// WaitMs asks the worker to poll again later (every pending unit is
+	// currently leased).
 	WaitMs int64  `json:"wait_ms,omitempty"`
 	Lease  *Lease `json:"lease,omitempty"`
 }
@@ -165,17 +145,17 @@ type HeartbeatResponse struct {
 
 // CompleteRequest submits one unit outcome. OK with Payload is a
 // finished fit (Rung set for a salvage emission); !OK with Err is a
-// worker-observed unit fault, which spends one attempt of the unit's
-// journal-persistent retry budget.
+// worker-observed unit fault, which sends the unit straight to a
+// salvage lease: the fit is pure, so a re-run would fail the same way.
 type CompleteRequest struct {
-	Worker      string  `json:"worker"`
-	Fingerprint uint64  `json:"fingerprint"`
-	LeaseID     uint64  `json:"lease_id"`
-	Key         WireKey `json:"key"`
-	OK          bool    `json:"ok"`
-	Payload     []byte  `json:"payload,omitempty"`
-	Rung        string  `json:"rung,omitempty"`
-	Err         string  `json:"err,omitempty"`
+	Worker      string         `json:"worker"`
+	Fingerprint uint64         `json:"fingerprint"`
+	LeaseID     uint64         `json:"lease_id"`
+	Key         checkpoint.Key `json:"key"`
+	OK          bool           `json:"ok"`
+	Payload     []byte         `json:"payload,omitempty"`
+	Rung        string         `json:"rung,omitempty"`
+	Err         string         `json:"err,omitempty"`
 }
 
 // CompleteResponse acknowledges a submission. Duplicate reports the

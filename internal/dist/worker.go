@@ -158,8 +158,8 @@ func (w *worker) runLease(ctx context.Context, l *Lease) (done bool, err error) 
 	// The lease context dies with the lease: heartbeat rejection or a
 	// renewal outage longer than the TTL cancels the in-flight unit, the
 	// distributed twin of checkpoint's cancellation-is-not-a-unit-fault
-	// rule — the unit is journaled as neither Done nor Failed and the
-	// coordinator re-leases it.
+	// rule — nothing is journaled for the unit and the coordinator
+	// re-leases it.
 	lctx, cancel := context.WithCancelCause(ctx)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -170,9 +170,8 @@ func (w *worker) runLease(ctx context.Context, l *Lease) (done bool, err error) 
 	defer wg.Wait()
 	defer cancel(nil)
 
-	for _, wk := range l.Keys {
-		k := wk.ToKey()
-		req := CompleteRequest{Worker: w.cfg.ID, Fingerprint: w.fp, LeaseID: l.ID, Key: wk}
+	for _, k := range l.Keys {
+		req := CompleteRequest{Worker: w.cfg.ID, Fingerprint: w.fp, LeaseID: l.ID, Key: k}
 		if l.Salvage {
 			payload, rung, serr := w.exec.Salvage(lctx, k)
 			if serr != nil {
@@ -180,7 +179,7 @@ func (w *worker) runLease(ctx context.Context, l *Lease) (done bool, err error) 
 					return false, w.leaseAborted(lctx, ctx, k)
 				}
 				// A salvage that cannot even run (unit off-plan) is a unit
-				// fault; report it so the budget machinery sees it.
+				// fault; report it like any other.
 				req.OK, req.Err = false, serr.Error()
 			} else {
 				req.OK, req.Payload, req.Rung, req.Err = true, payload, rung, l.LastErr

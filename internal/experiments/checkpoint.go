@@ -70,6 +70,11 @@ func decodeReductions1(b []byte) (map[fit.Model]float64, error) {
 	return out, nil
 }
 
+// noReductions is the salvage of a poison Table 1 or Table 2 unit: an
+// empty reductions payload. Table 1 renders it as an empty row; Table 2
+// leaves the unit out of its averages.
+func noReductions(error) ([]byte, string) { return encodeReductions2(nil), "empty" }
+
 // encodeReductions2 serialises a Table 2 unit's per-model [bin, yield]
 // reduction pair.
 func encodeReductions2(vals map[fit.Model][2]float64) []byte {

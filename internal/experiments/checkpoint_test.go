@@ -2,18 +2,20 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"lvf2/internal/cells"
 	"lvf2/internal/checkpoint"
 	"lvf2/internal/faultinject"
 	"lvf2/internal/fit"
 )
 
 // cancelWhenResolved cancels ctx once the journal holds at least n
-// terminal records — a deterministic-enough mid-run kill point.
+// records — a deterministic-enough mid-run kill point.
 func cancelWhenResolved(j *checkpoint.Journal, n int, cancel context.CancelFunc, stop <-chan struct{}) {
 	go func() {
 		for {
@@ -22,13 +24,7 @@ func cancelWhenResolved(j *checkpoint.Journal, n int, cancel context.CancelFunc,
 				return
 			case <-time.After(time.Millisecond):
 			}
-			resolved := 0
-			for _, rec := range j.Records() {
-				if rec.Status.Terminal() {
-					resolved++
-				}
-			}
-			if resolved >= n {
+			if len(j.Records()) >= n {
 				cancel()
 				return
 			}
@@ -150,6 +146,66 @@ func TestTable2CheckpointResume(t *testing.T) {
 				t.Errorf("%s %s: resumed %v != golden %v", r.Cell, name, pair[0], pair[1])
 			}
 		}
+	}
+}
+
+// TestTablesQuarantinedUnits: a quarantined unit carries the empty
+// reductions salvage. Table 1 renders it as an empty row, and Table 2
+// leaves it out of its averages instead of averaging it in as zeros.
+func TestTablesQuarantinedUnits(t *testing.T) {
+	payload, rung := noReductions(errors.New("poison"))
+	note := checkpoint.QuarantineNote("poison")
+	open := func(fp checkpoint.Fingerprint) *checkpoint.Journal {
+		t.Helper()
+		j, err := checkpoint.Open(faultinject.NewMemFS(), "ckpt", fp, checkpoint.Options{})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		return j
+	}
+
+	cfg := Config{Samples: 1500, Workers: 2}
+	golden1, err := Table1(cfg)
+	if err != nil {
+		t.Fatalf("golden Table1: %v", err)
+	}
+	cfg.Checkpoint = open(cfg.Table1Fingerprint())
+	poison := golden1[0].Scenario.Name
+	cfg.Checkpoint.Quarantined(checkpoint.Key{Cell: "experiments", Pin: "table1", Arc: poison, Kind: "scenario"},
+		rung, note, payload)
+	rows1, err := Table1(cfg)
+	if err != nil {
+		t.Fatalf("Table1 with a quarantined scenario: %v", err)
+	}
+	if r := rows1[0]; r.Scenario.Name != poison || !r.Restored || len(r.BinReduction) != 0 {
+		t.Errorf("quarantined scenario row = %s restored=%v %v, want an empty restored row", r.Scenario.Name, r.Restored, r.BinReduction)
+	}
+	for i := 1; i < len(rows1); i++ {
+		if !reflect.DeepEqual(rows1[i].BinReduction, golden1[i].BinReduction) {
+			t.Errorf("scenario %s: %v != golden %v", rows1[i].Scenario.Name, rows1[i].BinReduction, golden1[i].BinReduction)
+		}
+	}
+
+	cfg2 := Table2Config{Config: Config{Samples: 400, Workers: 4}, ArcsPerType: 1, GridStride: 4}
+	golden2, err := Table2(cfg2)
+	if err != nil {
+		t.Fatalf("golden Table2: %v", err)
+	}
+	cfg2.Checkpoint = open(cfg2.Table2Fingerprint())
+	arc := cells.Library()[0].Arcs()[0]
+	for _, gp := range (cells.CharConfig{GridStride: cfg2.GridStride}).SweepPoints() {
+		k := checkpoint.Key{Cell: arc.Cell, Pin: "table2", Arc: arc.Label, Slew: gp.SlewIdx, Load: gp.LoadIdx, Kind: cells.Delay.String()}
+		cfg2.Checkpoint.Quarantined(k, rung, note, payload)
+	}
+	rows2, err := Table2(cfg2)
+	if err != nil {
+		t.Fatalf("Table2 with quarantined units: %v", err)
+	}
+	if r := rows2[0]; len(r.DelayBin) != 0 || len(r.DelayYield) != 0 {
+		t.Errorf("%s: delay averages %v / %v over quarantined units only, want none", r.Cell, r.DelayBin, r.DelayYield)
+	}
+	if !reflect.DeepEqual(rows2[0].TransBin, golden2[0].TransBin) || !reflect.DeepEqual(rows2[1:], golden2[1:]) {
+		t.Error("quarantining one arc's Delay units moved other averages")
 	}
 }
 

@@ -17,7 +17,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -53,9 +52,6 @@ type Config struct {
 	// so an interrupted sweep resumes instead of restarting. Open it with
 	// the matching Table1Fingerprint/Table2Fingerprint.
 	Checkpoint *checkpoint.Journal
-	// Retry tunes the per-unit retry/backoff/quarantine policy of a
-	// journaled run.
-	Retry checkpoint.RetryPolicy
 }
 
 // WithDefaults fills zero fields with the reduced defaults.
@@ -142,9 +138,9 @@ func Table1(cfg Config) ([]ScenarioResult, error) {
 }
 
 // Table1Ctx is Table1 with cooperative cancellation. Scenario fits run on
-// a panic-hardened worker pool; a panicking fitter surfaces as a typed
-// *pool.PanicError instead of killing the process, and cancelling ctx
-// stops dispatch promptly with context.Canceled.
+// a panic-hardened worker pool; a scenario whose fit fails or panics is
+// quarantined as an empty row instead of killing the process, and
+// cancelling ctx stops dispatch promptly with context.Canceled.
 func Table1Ctx(ctx context.Context, cfg Config) ([]ScenarioResult, error) {
 	cfg = cfg.WithDefaults()
 	scenarios, err := spice.Scenarios()
@@ -152,7 +148,6 @@ func Table1Ctx(ctx context.Context, cfg Config) ([]ScenarioResult, error) {
 		return nil, err
 	}
 	out := make([]ScenarioResult, len(scenarios))
-	runner := &checkpoint.Runner{Journal: cfg.Checkpoint, Policy: cfg.Retry}
 	labels := make([]string, len(scenarios))
 	for i, sc := range scenarios {
 		labels[i] = "table1/" + sc.Name
@@ -162,7 +157,7 @@ func Table1Ctx(ctx context.Context, cfg Config) ([]ScenarioResult, error) {
 			sc := scenarios[i]
 			k := checkpoint.Key{Cell: "experiments", Pin: "table1", Arc: sc.Name, Slew: i, Kind: "scenario"}
 			var res ScenarioResult
-			unit, uerr := runner.Do(tctx, k, func(context.Context) ([]byte, error) {
+			unit, uerr := cfg.Checkpoint.Do(tctx, k, func(context.Context) ([]byte, error) {
 				rng := mc.NewRNG(cfg.Seed + uint64(i)*7919)
 				xs := sc.GoldenSamples(rng, cfg.Samples)
 				evals, emp := EvaluateModels(xs, cfg.Models, cfg.FitOpts)
@@ -181,31 +176,21 @@ func Table1Ctx(ctx context.Context, cfg Config) ([]ScenarioResult, error) {
 				}
 				scenariosTotal.Inc()
 				return encodeReductions1(res.BinReduction), nil
-			}, nil)
+			}, noReductions)
 			if uerr != nil {
-				if errors.Is(uerr, checkpoint.ErrUnitDropped) {
-					// Poison scenario: emit an empty row so the other four
-					// still render instead of aborting the table.
-					out[i] = ScenarioResult{Scenario: sc, BinReduction: map[fit.Model]float64{}}
-					return nil
-				}
 				return uerr
 			}
-			if unit.Restored {
-				if len(unit.Payload) == 0 {
-					// Restored quarantined scenario: same empty row an
-					// in-run drop produces.
-					out[i] = ScenarioResult{Scenario: sc, BinReduction: map[fit.Model]float64{}, Restored: true}
-					return nil
-				}
-				red, derr := decodeReductions1(unit.Payload)
-				if derr != nil {
-					return fmt.Errorf("experiments: unit %s payload: %w", k, derr)
-				}
-				out[i] = ScenarioResult{Scenario: sc, BinReduction: red, Restored: true}
+			if !unit.Restored && !unit.Quarantined {
+				out[i] = res
 				return nil
 			}
-			out[i] = res
+			// A restored row, or a poison scenario whose empty salvage
+			// renders as an empty row so the other four still render.
+			red, derr := decodeReductions1(unit.Payload)
+			if derr != nil {
+				return fmt.Errorf("experiments: unit %s payload: %w", k, derr)
+			}
+			out[i] = ScenarioResult{Scenario: sc, BinReduction: red, Restored: unit.Restored}
 			return nil
 		})
 	if err != nil {
@@ -337,8 +322,8 @@ func Table2(cfg Table2Config) ([]CellTypeResult, error) {
 // Table2Ctx is Table2 with cooperative cancellation. The producer streams
 // characterised distributions into a panic-hardened fitting pool (the
 // paper-scale sweep is far too large to precompute), so memory stays
-// bounded while fitter panics surface as typed errors and cancellation
-// stops both the producer and the workers promptly.
+// bounded while cancellation stops both the producer and the workers
+// promptly.
 //
 // Each (arc, slew, load, kind) point is one work unit. Unit values land
 // in per-unit slots and are aggregated in deterministic production order
@@ -351,11 +336,9 @@ func Table2Ctx(ctx context.Context, cfg Table2Config) ([]CellTypeResult, error) 
 	cfg = cfg.WithDefaults()
 	lib := cells.Library()
 	out := make([]CellTypeResult, len(lib))
-	runner := &checkpoint.Runner{Journal: cfg.Checkpoint, Policy: cfg.Retry}
 
 	// slot is one unit's place in production order; vals stays nil for
-	// units that failed out (quarantined-dropped), which the aggregation
-	// below skips.
+	// quarantined units, which the aggregation below skips.
 	type slot struct {
 		typeIdx  int
 		binIdx   int
@@ -376,7 +359,7 @@ func Table2Ctx(ctx context.Context, cfg Table2Config) ([]CellTypeResult, error) 
 	var restored atomic.Int64
 	fitJob := func(s *slot, k checkpoint.Key, d cells.Distribution, haveDist bool) func(context.Context) error {
 		return func(tctx context.Context) error {
-			unit, uerr := runner.Do(tctx, k, func(context.Context) ([]byte, error) {
+			unit, uerr := cfg.Checkpoint.Do(tctx, k, func(context.Context) ([]byte, error) {
 				if !haveDist {
 					return nil, fmt.Errorf("experiments: no samples for unit %s", k)
 				}
@@ -394,18 +377,15 @@ func Table2Ctx(ctx context.Context, cfg Table2Config) ([]CellTypeResult, error) 
 				}
 				arcsTotal.Inc()
 				return encodeReductions2(vals), nil
-			}, nil)
+			}, noReductions)
 			if uerr != nil {
-				if errors.Is(uerr, checkpoint.ErrUnitDropped) {
-					return nil // poison unit: excluded from the averages
-				}
 				return uerr
 			}
 			if unit.Restored {
 				restored.Add(1)
 			}
-			if len(unit.Payload) == 0 {
-				return nil // restored quarantined-dropped unit
+			if unit.Quarantined {
+				return nil // poison unit: excluded from the averages
 			}
 			vals, derr := decodeReductions2(unit.Payload)
 			if derr != nil {

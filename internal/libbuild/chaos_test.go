@@ -68,9 +68,7 @@ func runCkptChaosScript(t *testing.T, run *chaostest.Record) {
 		}
 		terminal := make(map[checkpoint.Key]bool)
 		for _, rec := range j.Records() {
-			if rec.Status.Terminal() {
-				terminal[rec.Key] = true
-			}
+			terminal[rec.Key] = true
 		}
 		cfg.Journal = j
 		cfg.fitHook = func(k checkpoint.Key) {

@@ -45,8 +45,8 @@ func Plan(cfg Config) ([]UnitRef, error) {
 
 // Executor is the one code path that characterises, seeds, fits and
 // salvages a work unit. Build drives it arc by arc through
-// checkpoint.Runner; a distributed worker drives it one leased unit at a
-// time through Execute and Salvage. A payload is a pure function of the
+// checkpoint.Journal.Do; a distributed worker drives it one leased unit
+// at a time through Execute and Salvage. A payload is a pure function of the
 // configuration, the unit's deterministic samples and its seed, and the
 // seed is the link the unit's chain neighbour left (see seed and
 // record), so a payload computed remotely is bit-identical to one
@@ -262,15 +262,15 @@ func (e *Executor) Salvage(ctx context.Context, k checkpoint.Key) (payload []byt
 	return payload, rung, nil
 }
 
-// runArc resolves one arc's units (refs, in plan order) through runner
+// runArc resolves one arc's units (refs, in plan order) through j.Do
 // into out. The arc's Monte-Carlo pass runs first, in one pass over the
-// points that still hold a non-terminal unit, and outside runner.Do: an
+// points that still hold an unjournaled unit, and outside j.Do: an
 // evaluator panic fails the arc's pool task rather than quarantining its
 // units. Each resolved unit — restored, fitted or salvaged — records its
 // link before its successor asks for a seed.
-func (e *Executor) runArc(ctx context.Context, runner *checkpoint.Runner, refs []UnitRef, out []checkpoint.Unit) error {
+func (e *Executor) runArc(ctx context.Context, j *checkpoint.Journal, refs []UnitRef, out []checkpoint.Unit) error {
 	samples, err := e.characterise(ctx, e.jobs[arcOf(refs[0].Key)], func(k checkpoint.Key) bool {
-		return !runner.Journal.Terminal(k)
+		return !j.Terminal(k)
 	})
 	if err != nil {
 		return err
@@ -281,13 +281,10 @@ func (e *Executor) runArc(ctx context.Context, runner *checkpoint.Runner, refs [
 		if err != nil {
 			return err
 		}
-		u, err := runner.Do(ctx, k,
+		u, err := j.Do(ctx, k,
 			func(context.Context) ([]byte, error) { return e.fitUnit(k, d, seed) },
-			func(error) ([]byte, string, error) {
-				payload, rung := salvageUnitPayload(d)
-				return payload, rung, nil
-			})
-		if err != nil && !errors.Is(err, checkpoint.ErrUnitDropped) {
+			func(error) ([]byte, string) { return salvageUnitPayload(d) })
+		if err != nil {
 			return err
 		}
 		e.record(k, u.Payload, u.Quarantined, seed)

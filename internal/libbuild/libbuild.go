@@ -12,13 +12,14 @@
 // left, a link derived from the neighbour's payload alone, so a unit's
 // payload does not depend on which of the two ran it.
 //
-// Build runs units through checkpoint.Runner: a unit already journaled
-// as done or quarantined is restored (never refitted — its payload holds
-// the fitted model parameters bit-exactly), a failing unit is retried
-// with jittered backoff, and a poison unit is quarantined with a
-// degraded emission from the fit.FitRobust ladder so one bad arc never
-// blocks the other 24 cell types. An arc's Monte-Carlo pass skips every
-// grid point whose two units are both already resolved.
+// Build runs units through checkpoint.Journal.Do: a unit already
+// journaled as done or quarantined is restored (never refitted — its
+// payload holds the fitted model parameters bit-exactly), and a unit
+// whose fit fails is quarantined at once with a degraded emission from
+// the salvage ladder, so one bad arc never blocks the other 24 cell
+// types. A fit is pure, so running it again could only fail again. An
+// arc's Monte-Carlo pass skips every grid point whose two units are
+// both already resolved.
 package libbuild
 
 import (
@@ -69,8 +70,6 @@ type Config struct {
 	// outcome is journaled and terminal units are restored on the next
 	// run instead of recomputed.
 	Journal *checkpoint.Journal
-	// Retry tunes the per-unit retry/backoff/quarantine policy.
-	Retry checkpoint.RetryPolicy
 	// Log receives fallback and quarantine notes (default: discarded).
 	Log io.Writer
 
@@ -165,7 +164,7 @@ func planJobs(cfg Config) (jobs []arcJob, pinsOf [][]string) {
 // Build characterises cfg.Types and returns the Liberty library group,
 // ready for liberty.WriteLibrary. It drives the Executor locally:
 // one pool task per arc of Plan(cfg) runs the arc's units
-// through checkpoint.Runner and the Executor, and Build itself only
+// through cfg.Journal.Do and the Executor, and Build itself only
 // counts stats and assembles the tables. On error (including
 // cancellation) the journal still holds every unit sealed so far, so a
 // rerun against the same journal resumes instead of restarting.
@@ -190,17 +189,16 @@ func Build(ctx context.Context, cfg Config) (*liberty.Group, Stats, error) {
 	for i, j := range jobs {
 		labels[i] = j.arc.Label
 	}
-	runner := &checkpoint.Runner{Journal: cfg.Journal, Policy: cfg.Retry}
 	err = pool.ForEachLabeled(ctx, pool.Options{Workers: cfg.Char.Workers, TaskTimeout: cfg.Char.ArcTimeout}, labels,
 		func(tctx context.Context, i int) error {
-			return exec.runArc(tctx, runner, refs[i*per:(i+1)*per], units[i*per:(i+1)*per])
+			return exec.runArc(tctx, cfg.Journal, refs[i*per:(i+1)*per], units[i*per:(i+1)*per])
 		})
 
 	var stats Stats
 	tables := make([][2]*liberty.TimingModel, len(jobs))
 	for i := range jobs {
 		var terr error
-		tables[i], terr = arcTables(cfg, refs[i*per:(i+1)*per], units[i*per:(i+1)*per], &stats)
+		tables[i], terr = arcTables(cfg, units[i*per:(i+1)*per], &stats)
 		if err == nil {
 			err = terr
 		}
@@ -230,11 +228,11 @@ func Build(ctx context.Context, cfg Config) (*liberty.Group, Stats, error) {
 }
 
 // arcTables assembles one arc's delay and transition tables from its
-// resolved units (refs and units in plan order) and adds the units to
-// stats. Notes are joined in grid order, so a resumed or distributed
-// build emits the same ocv_fallback_note_* strings as an uninterrupted
-// one. A unit the build never reached (it failed first) is skipped.
-func arcTables(cfg Config, refs []UnitRef, units []checkpoint.Unit, stats *Stats) ([2]*liberty.TimingModel, error) {
+// resolved units (in plan order) and adds the units to stats. Notes are
+// joined in grid order, so a resumed or distributed build emits the
+// same ocv_fallback_note_* strings as an uninterrupted one. A unit the
+// build never reached (it failed first) is skipped.
+func arcTables(cfg Config, units []checkpoint.Unit, stats *Stats) ([2]*liberty.TimingModel, error) {
 	grid, stride := cfg.Char.Grid, cfg.Char.GridStride
 	var idx1, idx2 []float64
 	for i := 0; i < len(grid.Slews); i += stride {
@@ -257,7 +255,7 @@ func arcTables(cfg Config, refs []UnitRef, units []checkpoint.Unit, stats *Stats
 			continue
 		}
 		kind := cells.Kind(i % 2) // plan order alternates Delay, Transition
-		row, col := refs[i].Key.Slew/stride, refs[i].Key.Load/stride
+		row, col := u.Key.Slew/stride, u.Key.Load/stride
 		stats.Units++
 		if u.Restored {
 			stats.Restored++
@@ -265,9 +263,12 @@ func arcTables(cfg Config, refs []UnitRef, units []checkpoint.Unit, stats *Stats
 		if u.Quarantined {
 			stats.Quarantined++
 		}
-		nom, model, note, warm, err := unitResult(cfg, u, refs[i].Arc, row, col, kind)
+		nom, model, note, warm, err := decodeUnit(u.Payload)
 		if err != nil {
-			return [2]*liberty.TimingModel{}, err
+			return [2]*liberty.TimingModel{}, fmt.Errorf("libbuild: unit %s payload: %w", u.Key, err)
+		}
+		if u.Quarantined {
+			note = fmt.Sprintf("%s (%d,%d): %s [%s]", u.Key.Arc, row, col, u.Note, u.Rung)
 		}
 		if !u.Restored {
 			switch warm {
@@ -339,31 +340,6 @@ func salvageUnitPayload(d cells.Distribution) (payload []byte, rung string) {
 	nom := d.NomDelay
 	m := core.FromLVF(core.Theta{Mean: nom, Sigma: math.Max(math.Abs(nom)*1e-9, 1e-12)})
 	return encodeUnit(nom, m, "", fit.WarmCold), "floored-gaussian"
-}
-
-// unitResult turns a resolved unit into the (nominal, model, note, warm
-// outcome) tuple the table assembly consumes.
-func unitResult(cfg Config, unit checkpoint.Unit, arc cells.Arc, row, col int, kind cells.Kind) (float64, core.Model, string, fit.WarmOutcome, error) {
-	if unit.Payload == nil {
-		// A dropped unit (quarantined with no salvage payload) still needs
-		// a finite table entry; reconstruct the nominal deterministically.
-		nd, nt := arc.Elec.NominalEval(cfg.Char.Corner, cfg.Char.Grid.Slews[unit.Key.Slew], cfg.Char.Grid.Loads[unit.Key.Load])
-		nom := nd
-		if kind == cells.Transition {
-			nom = nt
-		}
-		m := core.FromLVF(core.Theta{Mean: nom, Sigma: math.Max(math.Abs(nom)*1e-9, 1e-12)})
-		note := fmt.Sprintf("%s (%d,%d): %s [dropped]", arc.Label, row, col, unit.Note)
-		return nom, m, note, fit.WarmCold, nil
-	}
-	nom, model, note, warm, err := decodeUnit(unit.Payload)
-	if err != nil {
-		return 0, core.Model{}, "", fit.WarmCold, fmt.Errorf("libbuild: unit %s payload: %w", unit.Key, err)
-	}
-	if unit.Quarantined {
-		note = fmt.Sprintf("%s (%d,%d): %s [%s]", arc.Label, row, col, unit.Note, unit.Rung)
-	}
-	return nom, model, note, warm, nil
 }
 
 // -------------------------------------------------- unit payload codec

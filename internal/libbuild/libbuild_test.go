@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"lvf2/internal/cells"
 	"lvf2/internal/checkpoint"
@@ -22,13 +21,6 @@ import (
 	"lvf2/internal/liberty"
 	"lvf2/internal/pool"
 )
-
-// fastRetry is a retry policy with an instant fake clock, so quarantine
-// paths run without real backoff sleeps.
-var fastRetry = checkpoint.RetryPolicy{
-	MaxAttempts: 2,
-	Sleep:       func(ctx context.Context, _ time.Duration) error { return ctx.Err() },
-}
 
 // testConfig is a small but non-trivial build: two cell types, two arcs
 // each, a 2×2 subsampled grid — 32 work units total.
@@ -44,8 +36,7 @@ func testConfig() Config {
 			GridStride: 4,
 			Workers:    2,
 		},
-		LVF2:  true,
-		Retry: fastRetry,
+		LVF2: true,
 	}
 }
 
@@ -131,9 +122,7 @@ func TestBuildGoldenKillAndResume(t *testing.T) {
 	j2 := openTestJournal(t, fsys, cfg)
 	doneBefore := make(map[checkpoint.Key]bool)
 	for _, rec := range j2.Records() {
-		if rec.Status.Terminal() {
-			doneBefore[rec.Key] = true
-		}
+		doneBefore[rec.Key] = true
 	}
 	if len(doneBefore) == 0 {
 		t.Fatal("kill landed before any unit sealed; cancel point too early for this test")
@@ -231,7 +220,7 @@ func TestBuildQuarantinePoisonArc(t *testing.T) {
 	if !strings.Contains(text, "ocv_fallback_note") {
 		t.Error("quarantined build emitted no ocv_fallback_note attribute")
 	}
-	if !strings.Contains(text, "quarantined after 2 attempts") {
+	if !strings.Contains(text, checkpoint.QuarantineNote("injected poison fit")+" [") {
 		t.Error("quarantine note missing from library output")
 	}
 	if !strings.Contains(logBuf.String(), "INV/arc00") {
@@ -401,7 +390,7 @@ func TestBuildRefusesOtherFitRevision(t *testing.T) {
 			t.Fatal(err)
 		}
 		key := checkpoint.Key{Cell: "INV", Pin: "A", Arc: "INV/arc00", Kind: "delay"}
-		if err := j.Done(key, 1, []byte{1}); err != nil {
+		if err := j.Done(key, []byte{1}); err != nil {
 			t.Fatal(err)
 		}
 		if err := j.Close(); err != nil {

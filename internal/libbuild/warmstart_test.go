@@ -91,7 +91,7 @@ func TestBuildPoisonAnchorColdRow(t *testing.T) {
 	if !strings.Contains(text, "ocv_fallback_note") {
 		t.Error("quarantined build emitted no ocv_fallback_note attribute")
 	}
-	if !strings.Contains(text, "quarantined after 2 attempts") {
+	if !strings.Contains(text, checkpoint.QuarantineNote("injected poison anchor")+" [") {
 		t.Error("quarantine note format changed")
 	}
 
